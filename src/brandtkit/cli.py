@@ -4,7 +4,8 @@
     brandtkit sweep 2 31            one summary row per prime level
     brandtkit verify <record.json>  re-check a cached record offline
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or schema error.
+Exit codes: 0 all checks pass, 1 a check failed or the computation stopped
+on an internal consistency error, 2 usage or schema error.
 """
 
 import argparse
@@ -12,7 +13,8 @@ import os
 import sys
 
 from .analysis import analyze
-from .quatalg import is_prime
+from .ideals import EnumerationError
+from .quatalg import ConsistencyError, ConstructionError, is_prime
 from .records import (MigrationError, load_record, to_json, verify_record,
                       write_record)
 from .spectral import sturm_bound
@@ -101,6 +103,9 @@ def cmd_analyze(args):
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (ConsistencyError, ConstructionError, EnumerationError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     _write_cache(res.record, args.cache_dir)
     if args.json:
         sys.stdout.write(to_json(res.record))

@@ -7,15 +7,19 @@ R-stable and are isotropic for the norm form mod p are the ideals of norm
 p*N(I) directly below I.  The walk terminates exactly when the accumulated
 mass sum(1/w_i) reaches (N-1)/12.
 
+Every ideal here is an invertible lattice, so inverses and right orders
+have closed forms: I^-1 = conj(I) / nrd(I) and O_R(I) = conj(I) I / nrd(I),
+where nrd(I) is the normalized content of the norm form on I (Voight,
+Quaternion Algebras, GTM 288, the chapter on invertible lattices).
+
 Etymology of the weights: w_i is the unit group of the right order R_i of
 I_i modulo {+-1}, i.e. half the number of norm-1 vectors of R_i.
 """
 
 from collections import deque
 from fractions import Fraction
-from math import gcd
 
-from .intmat import hnf, mat_inv, mat_mul
+from .intmat import mat_mul
 from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder
 from .quatalg import ConsistencyError, mul4
@@ -29,45 +33,6 @@ def _lmat(a, b, x):
     """Matrix of b -> x*b on coordinate rows: row(x*b) = beta . _lmat(x)."""
     basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     return [list(mul4(a, b, x, e)) for e in basis]
-
-
-def _rmat(a, b, y):
-    """Matrix of b -> b*y on coordinate rows."""
-    basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    return [list(mul4(a, b, e, y)) for e in basis]
-
-
-def _solve_right_module(alg, conds):
-    """The lattice {beta : beta . C in Z^4 for every C in conds}.
-
-    Each single condition cuts out the row lattice Z^4 . C^{-1}; the
-    intersection is computed through duals: dual(sum of duals), where the
-    dual of Z^4 . B is Z^4 . B^{-T} and the sum is an HNF of stacked rows.
-    """
-    stacked = []
-    den = 1
-    for C in conds:
-        Ct = [[Fraction(C[r][c]) for r in range(4)] for c in range(4)]
-        for row in Ct:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        stacked.append(Ct)
-    rows = []
-    for Ct in stacked:
-        for row in Ct:
-            rows.append([int(x * den) for x in row])
-    H = hnf(rows)
-    if len(H) != 4:
-        raise ConsistencyError("transporter lattice is rank-deficient")
-    Hinv = mat_inv(H)
-    # basis of the intersection: den * H^{-T}
-    dual_rows = [[Hinv[c][r] * den for c in range(4)] for r in range(4)]
-    big = 1
-    for row in dual_rows:
-        for x in row:
-            big = big * x.denominator // gcd(big, x.denominator)
-    int_rows = [[int(x * big) for x in row] for row in dual_rows]
-    return QuatLattice.from_rows(alg, int_rows, big)
 
 
 class LeftIdeal:
@@ -121,34 +86,21 @@ def _left_action_mats(order, lattice):
 
 
 def right_order(ideal):
-    """The right order {b : I b <= I} of a left ideal; always maximal here."""
+    """The right order conj(I) I / nrd(I) of a left ideal; maximal here."""
     lat = ideal.lattice
-    a, b = lat.alg.a, lat.alg.b
-    inv = lat.inv_mat()
-    conds = []
-    for r in lat.mat:
-        conds.append(mat_mul(_lmat(a, b, r), inv))
-    sol = _solve_right_module(lat.alg, conds)
-    order = QuatOrder(sol)
+    order = QuatOrder(product_lattice(lat.conjugated(), lat)
+                      .scaled(1 / lat.content()))
     if order.reduced_discriminant() != lat.alg.level:
         raise ConsistencyError("right order of an ideal is not maximal")
     return order
 
 
 def ideal_inverse(lattice):
-    """The set {b : I b I <= I} for the lattice I of a left ideal.
+    """The inverse conj(I) / nrd(I) of the lattice I of a left ideal.
 
     Satisfies N(I^-1) N(I) = 1 and I^-1 I = the right order of I.
     """
-    a, b = lattice.alg.a, lattice.alg.b
-    inv = lattice.inv_mat()
-    conds = []
-    for r in lattice.mat:
-        lm = _lmat(a, b, r)
-        for s in lattice.mat:
-            C = mat_mul(mat_mul(lm, _rmat(a, b, s)), inv)
-            conds.append([[Fraction(x, lattice.den) for x in row] for row in C])
-    return _solve_right_module(lattice.alg, conds)
+    return lattice.conjugated().scaled(1 / lattice.content())
 
 
 def ideal_product(L1, L2):

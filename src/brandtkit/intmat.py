@@ -31,18 +31,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def vec_mat(v, A):
-    return [sum(v[k] * A[k][j] for k in range(len(v))) for j in range(len(A[0]))]
-
-
 def hnf(rows):
     """Row Hermite normal form of an integer matrix; returns the nonzero rows.
 
@@ -208,22 +196,6 @@ def poly_trim(f):
 def poly_deg(f):
     f = poly_trim(f)
     return len(f) - 1 if any(f) else -1
-
-
-def poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def poly_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def poly_derivative(f):

@@ -324,15 +324,6 @@ def _count_by_value(G, cint, bound):
     return counts
 
 
-def hnf_basis(alg, elements):
-    """Canonical HNF lattice basis for the Z-span of the given elements."""
-    return QuatLattice.from_generators(alg, elements)
-
-
-def normalized_content(lat):
-    return lat.content()
-
-
 def count_vectors(lat, m):
     return lat.count_vectors(m)
 

@@ -15,7 +15,6 @@ import random
 from fractions import Fraction
 from math import sqrt
 
-from .intmat import exact_rank  # noqa: F401  (re-exported; it is spectral API)
 from .quatalg import ConsistencyError, is_prime
 
 RESIDUAL_TOL = 1e-8

@@ -30,25 +30,42 @@ def test_unit_weight_small_levels():
     assert unit_weight(maximal_order(construct_algebra(13))) == 1
 
 
+def ideals_with_neighbours(N):
+    """The class representatives at level N and the p = 3 neighbours of the
+    last one, all left ideals of the same maximal order."""
+    classes = classes_for(N)
+    nbrs = p_neighbors(classes.ideals[-1], 3)
+    return classes, classes.ideals + [LeftIdeal(classes.order, lat)
+                                      for lat in nbrs]
+
+
 def test_right_order_of_unit_ideal_is_order():
-    for N in (11, 37):
+    for N in (11, 37, 101):
         order = maximal_order(construct_algebra(N))
         R = LeftIdeal(order, order.lattice)
         assert right_order(R).lattice == order.lattice
+        _, ideals = ideals_with_neighbours(N)
+        for I in ideals:
+            ro = right_order(I).lattice
+            assert ideal_product(I.lattice, ro) == I.lattice
 
 
 def test_ideal_inverse_and_product():
-    for N in (11, 37):
+    for N in (11, 37, 101):
         order = maximal_order(construct_algebra(N))
         lat = order.lattice
         assert ideal_inverse(lat) == lat
         assert ideal_product(lat, lat) == lat
-        classes = classes_for(N)
+        classes, ideals = ideals_with_neighbours(N)
         for j in range(classes.n):
             I = classes.ideals[j].lattice
             inv = classes.ideal_inverse(j)
             assert inv.content() * I.content() == \
                 ideal_product(I, inv).content()
+        for I in ideals:
+            inv = ideal_inverse(I.lattice)
+            assert ideal_product(I.lattice, inv) == classes.order.lattice
+            assert ideal_product(inv, I.lattice) == right_order(I).lattice
 
 
 def test_p_neighbors_shape():

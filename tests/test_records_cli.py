@@ -7,6 +7,8 @@ import pytest
 
 from brandtkit.analysis import analyze
 from brandtkit.cli import main
+from brandtkit.ideals import EnumerationError
+from brandtkit.quatalg import ConsistencyError, ConstructionError
 from brandtkit.records import (MigrationError, float_str, frac_str,
                                load_record, parse_frac, to_json,
                                verify_record, write_record)
@@ -80,6 +82,19 @@ def test_cli_analyze_rejects_short_prefix(tmp_path, capsys):
                  "--cache-dir", str(tmp_path)])
     assert code == 2
     assert "at least 3 coefficients" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ConsistencyError, ConstructionError,
+                                   EnumerationError])
+def test_cli_analyze_internal_errors_exit_1(error, monkeypatch, tmp_path,
+                                            capsys):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr("brandtkit.cli.analyze", fail)
+    assert main(["analyze", "11", "--cache-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: injected failure\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_analyze_level_11(tmp_path, capsys):
