@@ -2,8 +2,7 @@
 definite quaternion algebra ramified at one prime."""
 
 from .analysis import AnalysisResult, analyze
-from .brandt import (BrandtCollection, ThetaSeries, brandt_b0, brandt_matrix,
-                     structural_checks, theta_series)
+from .brandt import BrandtCollection, ThetaSeries, structural_checks
 from .ideals import (ClassList, LeftIdeal, enumerate_classes, ideal_inverse,
                      ideal_product, is_equivalent, p_neighbors, right_order,
                      unit_weight)
@@ -30,8 +29,7 @@ __version__ = TOOL_VERSION
 
 __all__ = [
     "AnalysisResult", "analyze",
-    "BrandtCollection", "ThetaSeries", "brandt_b0", "brandt_matrix",
-    "structural_checks", "theta_series",
+    "BrandtCollection", "ThetaSeries", "structural_checks",
     "ClassList", "LeftIdeal", "enumerate_classes", "ideal_inverse",
     "ideal_product", "is_equivalent", "p_neighbors", "right_order",
     "unit_weight",

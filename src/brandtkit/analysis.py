@@ -55,7 +55,8 @@ def analyze(N, coeffs=None, seed=0, oracle=False, max_oracle_level=100):
     classes = enumerate_classes(order, level=N)
     coll = BrandtCollection(classes, bound)
 
-    checks = list(structural_checks(coll))
+    checks = structural_checks(coll.level, coll.weights, coll.bound,
+                               {m: coll.matrix(m) for m in coll.available()})
     checks.append(("eisenstein-exact",) + eisenstein_exact_check(coll))
     spec = eigendecompose(coll, seed=seed)
     report = build_report(coll, spec, probe_seed=seed)

@@ -7,11 +7,15 @@ wrong, and that is treated as an internal error rather than rounded away.
 
 theta_ij(q) = 1/(2 w_i) + sum_m B(m)_ij q^m, and column j of the B(m) family
 collects the coefficients of the n theta series attached to I_j.
+
+structural_checks, the one battery of Brandt identities, takes {m: B(m)}:
+analyze runs it on a BrandtCollection, verify on a stored record.
 """
 
 from fractions import Fraction
 
-from .quatalg import ConsistencyError
+from .intmat import identity, mat_mul
+from .quatalg import ConsistencyError, is_prime
 from .spectral import sigma_level
 
 
@@ -48,25 +52,21 @@ class BrandtCollection:
         self._compute()
 
     def _compute(self):
-        n = self.n
         sweep = max(self.bound, self.level)
-        tables = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                lat = self.classes.translation_module(i, j)
-                tables[i][j] = lat.counts_up_to(sweep)
-        for m in range(1, self.bound + 1):
-            self._matrices[m] = self._assemble(tables, m)
-        if self.level > self.bound:
-            self._matrices[self.level] = self._assemble(tables, self.level)
+        tables = [[self.classes.translation_module(i, j).counts_up_to(sweep)
+                   for j in range(self.n)] for i in range(self.n)]
+        for m in {*range(1, self.bound + 1), self.level}:
+            self._matrices[m] = self._assemble(
+                lambda i, j: tables[i][j].get(m, 0))
 
-    def _assemble(self, tables, m):
+    def _assemble(self, count):
+        """B(m) from count(i, j) = #{x in M_ij : normalized norm m}."""
         out = []
         for i in range(self.n):
             wi2 = 2 * self.weights[i]
             row = []
             for j in range(self.n):
-                cnt = tables[i][j].get(m, 0)
+                cnt = count(i, j)
                 q, r = divmod(cnt, wi2)
                 if r:
                     raise ConsistencyError(
@@ -76,14 +76,17 @@ class BrandtCollection:
         return out
 
     def matrix(self, m):
-        """B(m); anything outside the precomputed range is swept on demand."""
+        """B(m); anything outside the precomputed range is counted on demand."""
         if m == 0:
             return self.b0()
         if m not in self._matrices:
-            self._matrices[m] = brandt_matrix(self.classes, m)
+            self._matrices[m] = self._assemble(
+                lambda i, j: self.classes.translation_module(i, j)
+                .count_vectors(m))
         return self._matrices[m]
 
     def b0(self):
+        """B(0): row i is constant 1/(2 w_i)."""
         return [[Fraction(1, 2 * w)] * self.n for w in self.weights]
 
     def available(self):
@@ -95,114 +98,92 @@ class BrandtCollection:
         return ThetaSeries(Fraction(1, 2 * self.weights[i]), coeffs)
 
 
-def brandt_matrix(classes, m):
-    """B(m) as an exact integer matrix (m >= 1)."""
-    if m < 1:
-        raise ValueError("use brandt_b0 for the constant term")
-    n = classes.n
-    out = []
-    for i in range(n):
-        wi2 = 2 * classes.weights[i]
-        row = []
-        for j in range(n):
-            cnt = classes.translation_module(i, j).count_vectors(m)
-            q, r = divmod(cnt, wi2)
-            if r:
-                raise ConsistencyError(
-                    f"vector count {cnt} not divisible by 2w_{i + 1}={wi2}")
-            row.append(q)
-        out.append(row)
-    return out
-
-
-def brandt_b0(classes):
-    """B(0): row i is constant 1/(2 w_i)."""
-    return [[Fraction(1, 2 * w)] * classes.n for w in classes.weights]
-
-
-def theta_series(classes, i, j, bound):
-    counts = classes.translation_module(i, j).counts_up_to(bound)
-    wi2 = 2 * classes.weights[i]
-    coeffs = []
-    for m in range(1, bound + 1):
-        q, r = divmod(counts.get(m, 0), wi2)
-        if r:
-            raise ConsistencyError("theta coefficient not integral")
-        coeffs.append(q)
-    return ThetaSeries(Fraction(1, wi2), coeffs)
-
-
 # ---------------------------------------------------------------------------
-# structural identities; each returns (ok, detail)
+# structural identities of {m: B(m)} over m = 1..bound plus the level;
+# each check takes (level, weights, bound, mats) and returns (ok, detail)
 
-def check_b1_identity(coll):
-    n = coll.n
-    ok = coll.matrix(1) == [[1 if i == j else 0 for j in range(n)]
-                            for i in range(n)]
-    return ok, "B(1) = I" if ok else f"B(1) = {coll.matrix(1)}"
+def check_b1_identity(level, weights, bound, mats):
+    ok = mats[1] == identity(len(weights))
+    return ok, "B(1) = I" if ok else f"B(1) = {mats[1]}"
 
 
-def check_weighted_symmetry(coll):
+def check_weighted_symmetry(level, weights, bound, mats):
     """Eq-style symmetry w_i B(m)_ij = w_j B(m)_ji for all stored m."""
-    w = coll.weights
-    for m in coll.available():
-        B = coll.matrix(m)
-        for i in range(coll.n):
-            for j in range(coll.n):
-                if w[i] * B[i][j] != w[j] * B[j][i]:
+    n = len(weights)
+    for m, B in sorted(mats.items()):
+        for i in range(n):
+            for j in range(n):
+                if weights[i] * B[i][j] != weights[j] * B[j][i]:
                     return False, f"failed at m={m}, (i,j)=({i + 1},{j + 1})"
-    return True, f"checked m in {{1..{coll.bound}}} and m={coll.level}"
+    return True, f"checked m in {{1..{bound}}} and m={level}"
 
 
-def check_column_sums(coll):
+def check_column_sums(level, weights, bound, mats):
     """Columns of B(m) sum to sigma(m) with divisors prime to N omitted."""
-    for m in coll.available():
-        B = coll.matrix(m)
-        target = sigma_level(m, coll.level)
-        for j in range(coll.n):
-            if sum(B[i][j] for i in range(coll.n)) != target:
+    n = len(weights)
+    for m, B in sorted(mats.items()):
+        target = sigma_level(m, level)
+        for j in range(n):
+            if sum(B[i][j] for i in range(n)) != target:
                 return False, f"column {j + 1} of B({m}) does not sum to {target}"
     return True, "column sums equal sigma(m)"
 
 
-def check_weighted_row_sums(coll):
+def check_weighted_row_sums(level, weights, bound, mats):
     """sum_j B(m)_ij / w_j = sigma(m) / w_i, the Eisenstein identity."""
-    w = coll.weights
-    for m in coll.available():
-        B = coll.matrix(m)
-        target = sigma_level(m, coll.level)
-        for i in range(coll.n):
-            s = sum(Fraction(B[i][j], w[j]) for j in range(coll.n))
-            if s != Fraction(target, w[i]):
+    n = len(weights)
+    for m, B in sorted(mats.items()):
+        target = sigma_level(m, level)
+        for i in range(n):
+            s = sum(Fraction(B[i][j], weights[j]) for j in range(n))
+            if s != Fraction(target, weights[i]):
                 return False, f"row {i + 1} of B({m}) weighted sum is {s}"
     return True, "weighted row sums equal sigma(m)/w_i"
 
 
-def check_commutativity(coll):
-    from .intmat import mat_mul
-    ms = [m for m in coll.available()]
-    for x in range(len(ms)):
-        for y in range(x + 1, len(ms)):
-            A, B = coll.matrix(ms[x]), coll.matrix(ms[y])
-            if mat_mul(A, B) != mat_mul(B, A):
-                return False, f"B({ms[x]}) and B({ms[y]}) do not commute"
-    return True, f"all {len(ms)} stored matrices commute pairwise"
+def check_commutativity(level, weights, bound, mats):
+    """Certificate that all stored B(m) commute pairwise.
+
+    The B(p) of prime index, B(N) included, must commute pairwise, and
+    B(m) = B(q) B(m/q) must hold for every stored m with two or more
+    distinct prime factors, q the full power of m's smallest prime.  With
+    B(1) = I, the Hecke recursion and the level powers write each stored
+    B(p^k) as a polynomial in B(p), so every stored B(m) lies in the
+    commutative algebra that the B(p) generate (Pizer 1980): a ledger on
+    which this check, brandt-b1-identity, brandt-hecke-recursion and
+    brandt-level-powers pass certifies that every stored pair commutes.
+    """
+    primes = [m for m in sorted(mats) if is_prime(m)]
+    for x, p in enumerate(primes):
+        for r in primes[x + 1:]:
+            if mat_mul(mats[p], mats[r]) != mat_mul(mats[r], mats[p]):
+                return False, f"B({p}) and B({r}) do not commute"
+    products = 0
+    for m in sorted(mats)[1:]:  # skip B(1)
+        p = next(p for p in primes if m % p == 0)
+        q = p
+        while m % (q * p) == 0:
+            q *= p
+        if q == m:
+            continue
+        if mats[m] != mat_mul(mats[q], mats[m // q]):
+            return False, f"B({m}) != B({q}) B({m // q})"
+        products += 1
+    return True, (f"{len(primes)} prime-index matrices commute pairwise, "
+                  f"{products} products B(m) = B(q) B(m/q) verified")
 
 
-def check_hecke_recursion(coll):
+def check_hecke_recursion(level, weights, bound, mats):
     """B(p) B(p^k) = B(p^{k+1}) + p B(p^{k-1}) for p prime to the level."""
-    from .intmat import mat_mul
-    from .quatalg import is_prime
-    n = coll.n
+    n = len(weights)
     checked = 0
-    for p in range(2, coll.bound + 1):
-        if not is_prime(p) or p == coll.level:
+    for p in range(2, bound + 1):
+        if not is_prime(p) or p == level:
             continue
         pk = p
-        while pk * p <= coll.bound:
-            lhs = mat_mul(coll.matrix(p), coll.matrix(pk))
-            rhs = [[coll.matrix(pk * p)[i][j]
-                    + p * (coll.matrix(pk // p)[i][j] if pk // p >= 1 else 0)
+        while pk * p <= bound:
+            lhs = mat_mul(mats[p], mats[pk])
+            rhs = [[mats[pk * p][i][j] + p * mats[pk // p][i][j]
                     for j in range(n)] for i in range(n)]
             if lhs != rhs:
                 return False, f"recursion failed at p={p}, p^k={pk}"
@@ -211,39 +192,33 @@ def check_hecke_recursion(coll):
     return True, f"{checked} prime-power recursions verified"
 
 
-def check_level_involution(coll):
+def check_level_involution(level, weights, bound, mats):
     """B(N) is a permutation matrix squaring to the identity."""
-    from .intmat import mat_mul
-    n = coll.n
-    B = coll.matrix(coll.level)
-    for i in range(n):
-        if sum(B[i]) != 1 or any(x not in (0, 1) for x in B[i]):
-            return False, "B(N) is not a 0/1 permutation matrix"
-        if sum(B[r][i] for r in range(n)) != 1:
-            return False, "B(N) is not a 0/1 permutation matrix"
-    if mat_mul(B, B) != [[1 if i == j else 0 for j in range(n)] for i in range(n)]:
+    B = mats[level]
+    # 0/1 rows summing to 1 make a map of the classes, and B^2 = I makes
+    # it a bijection
+    if any(sum(row) != 1 or any(x not in (0, 1) for x in row) for row in B):
+        return False, "B(N) is not a 0/1 permutation matrix"
+    if mat_mul(B, B) != identity(len(weights)):
         return False, "B(N)^2 is not the identity"
     return True, "B(N) is a permutation involution"
 
 
-def check_level_powers(coll):
+def check_level_powers(level, weights, bound, mats):
     """B(N^k) = B(N)^k for the stored range (usually vacuous: N^2 > M)."""
-    from .intmat import mat_mul
-    BN = coll.matrix(coll.level)
-    power = BN
-    nk = coll.level
-    checked = 0
-    while nk * coll.level <= coll.bound:
-        nk *= coll.level
-        power = mat_mul(power, BN)
-        if coll.matrix(nk) != power:
-            return False, f"B({nk}) != B({coll.level})^{checked + 2}"
-        checked += 1
-    return True, f"{checked} level-power identities verified"
+    power = mats[level]
+    k = 1
+    while level ** (k + 1) <= bound:
+        k += 1
+        power = mat_mul(power, mats[level])
+        if mats[level ** k] != power:
+            return False, f"B({level ** k}) != B({level})^{k}"
+    return True, f"{k - 1} level-power identities verified"
 
 
-def structural_checks(coll):
-    """Run the whole battery; list of (name, ok, detail)."""
+def structural_checks(level, weights, bound, mats):
+    """Run the whole battery on mats = {m: B(m)} over 1..bound plus the
+    level; list of (name, ok, detail)."""
     battery = [
         ("brandt-b1-identity", check_b1_identity),
         ("brandt-weighted-symmetry", check_weighted_symmetry),
@@ -254,8 +229,4 @@ def structural_checks(coll):
         ("brandt-level-involution", check_level_involution),
         ("brandt-level-powers", check_level_powers),
     ]
-    out = []
-    for name, fn in battery:
-        ok, detail = fn(coll)
-        out.append((name, ok, detail))
-    return out
+    return [(name, *fn(level, weights, bound, mats)) for name, fn in battery]

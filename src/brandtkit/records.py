@@ -9,8 +9,8 @@ produce byte-identical files apart from the generated_at line.
 import json
 from fractions import Fraction
 
-from .intmat import exact_rank, identity, mat_mul
-from .spectral import sigma_level
+from .brandt import structural_checks
+from .intmat import exact_rank
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -91,21 +91,50 @@ def write_record(record, path):
         fh.write(to_json(record))
 
 
+# the fields verify_record reads, as paths into the record
+VERIFIED_FIELDS = ("level", "class_number", "weights", "mass", "coeff_bound",
+                   "b0", "brandt", "theta.dims", "theta.sigma_sets",
+                   "theta.rho", "spectral.tn_signs", "checks")
+
+
 def load_record(path):
+    """The record at path; MigrationError on another schema, ValueError
+    when a field that verify_record reads is missing or misshapen."""
     with open(path) as fh:
         record = json.load(fh)
     if record.get("schema_version") != SCHEMA_VERSION:
         raise MigrationError(
             f"record has schema {record.get('schema_version')!r}, "
             f"this tool reads schema {SCHEMA_VERSION}; regenerate the cache")
+    for field in VERIFIED_FIELDS:
+        value = record
+        for key in field.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise ValueError(f"record lacks the field {field!r}")
+            value = value[key]
+    n = record["class_number"]
+    want = {*range(1, record["coeff_bound"] + 1), record["level"]}
+    stored = {int(m) for m in record["brandt"]}
+    if stored != want:
+        m = min(stored ^ want)
+        raise ValueError(f"record {'lacks' if m in want else 'has an extra'}"
+                         f" Brandt matrix B({m})")
+    if len(record["weights"]) != n:
+        raise ValueError(f"record has {len(record['weights'])} weights "
+                         f"for {n} classes")
+    for m, B in [("0", record["b0"]), *record["brandt"].items()]:
+        if len(B) != n or any(len(row) != n for row in B):
+            raise ValueError(f"B({m}) in the record is not {n}x{n}")
     return record
 
 
 def verify_record(record):
     """Re-check every structural invariant from the stored data alone.
 
-    No recomputation of lattices or enumeration happens here; the record
-    must be self-consistent.  Returns a list of (name, ok, detail).
+    The stored matrices go through the brandt-* battery that analyze runs;
+    the other checks are of the stored fields.  No recomputation of
+    lattices or enumeration happens here; the record must be
+    self-consistent.  Returns a list of (name, ok, detail).
     """
     N = record["level"]
     n = record["class_number"]
@@ -128,41 +157,7 @@ def verify_record(record):
             for i in range(n) for j in range(n)),
         "entries 1/(2w_i)")
 
-    add("b1-identity", brandt.get(1) == identity(n), "B(1) = I")
-
-    sym_ok = all(w[i] * B[i][j] == w[j] * B[j][i]
-                 for B in brandt.values()
-                 for i in range(n) for j in range(n))
-    add("weighted-symmetry", sym_ok, "w_i B_ij = w_j B_ji for stored m")
-
-    col_ok = True
-    for m, B in brandt.items():
-        target = sigma_level(m, N)
-        for j in range(n):
-            if sum(B[i][j] for i in range(n)) != target:
-                col_ok = False
-    add("column-sums", col_ok, "sum_i B(m)_ij = sigma(m)_N")
-
-    row_ok = True
-    for m, B in brandt.items():
-        target = sigma_level(m, N)
-        for i in range(n):
-            if sum(Fraction(B[i][j], w[j]) for j in range(n)) != \
-                    Fraction(target, w[i]):
-                row_ok = False
-    add("weighted-row-sums", row_ok, "sum_j B(m)_ij/w_j = sigma(m)_N/w_i")
-
-    ms = sorted(brandt)
-    comm_ok = all(mat_mul(brandt[a], brandt[b]) == mat_mul(brandt[b], brandt[a])
-                  for ai, a in enumerate(ms) for b in ms[ai + 1:])
-    add("commutativity", comm_ok, f"{len(ms)} stored matrices commute")
-
-    BN = brandt.get(N)
-    inv_ok = (BN is not None
-              and all(x in (0, 1) for row in BN for x in row)
-              and all(sum(row) == 1 for row in BN)
-              and mat_mul(BN, BN) == identity(n))
-    add("level-involution", inv_ok, "B(N) is a 0/1 involution")
+    results.extend(structural_checks(N, w, bound, brandt))
 
     dims = [exact_rank([[brandt[m][i][j] for m in range(1, bound + 1)]
                         for j in range(n)]) for i in range(n)]
@@ -175,7 +170,7 @@ def verify_record(record):
 
     rho = record["theta"]["rho"]
     bound_ok = all(n - dims[i] >= rho
-                   for i in range(n) if BN and BN[i][i] == 1)
+                   for i in range(n) if brandt[N][i][i] == 1)
     add("atkin-lehner-bound", bound_ok, f"rho={rho} against recomputed dims")
 
     tn = record["spectral"]["tn_signs"]

@@ -105,7 +105,10 @@ def test_acceptance_03_mass_formula_and_class_numbers():
 def test_acceptance_04_structural_identities():
     for N in PRIMES_100:
         res = cached_analysis(N)
-        for name, ok, detail in structural_checks(res.collection):
+        coll = res.collection
+        mats = {m: coll.matrix(m) for m in coll.available()}
+        for name, ok, detail in structural_checks(coll.level, coll.weights,
+                                                  coll.bound, mats):
             assert ok, (N, name, detail)
     _report(4, "Brandt identities N<=100")
 

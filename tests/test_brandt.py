@@ -4,8 +4,8 @@ from itertools import permutations
 import pytest
 
 import oracles
-from brandtkit.brandt import (BrandtCollection, brandt_b0, brandt_matrix,
-                              structural_checks, theta_series)
+from brandtkit.brandt import (BrandtCollection, check_commutativity,
+                              structural_checks)
 from brandtkit.ideals import enumerate_classes
 from brandtkit.intmat import mat_mul
 from brandtkit.orders import maximal_order
@@ -17,75 +17,82 @@ def classes_for(N):
     return enumerate_classes(maximal_order(construct_algebra(N)), level=N)
 
 
+def collection_for(N, bound=1):
+    return BrandtCollection(classes_for(N), bound)
+
+
+def stored_matrices(coll):
+    return {m: coll.matrix(m) for m in coll.available()}
+
+
 def permuted(B, perm):
     n = len(B)
     return [[B[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
 
 
 def test_b3_level_11_matches_published_matrix():
-    classes = classes_for(11)
-    B3 = brandt_matrix(classes, 3)
+    coll = collection_for(11)
+    B3 = coll.matrix(3)
     # align classes by weight: the published matrix has (w1, w2) = (2, 3)
-    perm = sorted(range(2), key=lambda i: classes.weights[i])
+    perm = sorted(range(2), key=lambda i: coll.weights[i])
     assert permuted(B3, perm) == [[2, 3], [2, 1]]
 
 
 def test_b3_level_37_permutation_equivalent_to_published():
-    classes = classes_for(37)
-    B3 = brandt_matrix(classes, 3)
+    B3 = collection_for(37).matrix(3)
     target = [[2, 1, 1], [1, 0, 3], [1, 3, 0]]
     assert any(permuted(B3, p) == target for p in permutations(range(3)))
 
 
 def test_b0_entries():
-    classes = classes_for(11)
-    B0 = brandt_b0(classes)
+    coll = collection_for(11)
+    B0 = coll.b0()
     for i in range(2):
         for j in range(2):
-            assert B0[i][j] == Fraction(1, 2 * classes.weights[i])
+            assert B0[i][j] == Fraction(1, 2 * coll.weights[i])
 
 
 def test_b1_is_identity():
     for N in (2, 11, 37):
-        classes = classes_for(N)
-        n = classes.n
-        assert brandt_matrix(classes, 1) == \
+        coll = collection_for(N)
+        n = coll.n
+        assert coll.matrix(1) == \
             [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_structural_battery():
     for N in (2, 3, 5, 11, 13, 37, 43):
-        classes = classes_for(N)
-        coll = BrandtCollection(classes, bound=10)
-        for name, ok, detail in structural_checks(coll):
+        coll = collection_for(N, bound=10)
+        for name, ok, detail in structural_checks(
+                coll.level, coll.weights, coll.bound, stored_matrices(coll)):
             assert ok, (N, name, detail)
 
 
 def test_column_sums_are_sigma():
-    classes = classes_for(37)
+    coll = collection_for(37)
     for m in (1, 2, 3, 4, 5, 6, 12, 37, 74):
-        B = brandt_matrix(classes, m)
-        for j in range(classes.n):
-            assert sum(B[i][j] for i in range(classes.n)) == \
+        B = coll.matrix(m)
+        for j in range(coll.n):
+            assert sum(B[i][j] for i in range(coll.n)) == \
                 sigma_level(m, 37), m
 
 
 def test_weighted_symmetry_exact():
-    classes = classes_for(11)
-    w = classes.weights
+    coll = collection_for(11)
+    w = coll.weights
     for m in range(1, 12):
-        B = brandt_matrix(classes, m)
+        B = coll.matrix(m)
         for i in range(2):
             for j in range(2):
                 assert w[i] * B[i][j] == w[j] * B[j][i]
 
 
 def test_hecke_recursion_away_from_level():
-    classes = classes_for(11)
-    B2 = brandt_matrix(classes, 2)
-    B4 = brandt_matrix(classes, 4)
-    B8 = brandt_matrix(classes, 8)
-    two = [[2 * x for x in row] for row in brandt_matrix(classes, 1)]
+    coll = collection_for(11)
+    B2 = coll.matrix(2)
+    B4 = coll.matrix(4)
+    B8 = coll.matrix(8)
+    two = [[2 * x for x in row] for row in coll.matrix(1)]
     assert mat_mul(B2, B2) == [[a + b for a, b in zip(r1, r2)]
                                for r1, r2 in zip(B4, two)]
     twoB2 = [[2 * x for x in row] for row in B2]
@@ -94,38 +101,37 @@ def test_hecke_recursion_away_from_level():
 
 
 def test_multiplicative_coprime_indices():
-    classes = classes_for(11)
-    assert mat_mul(brandt_matrix(classes, 2), brandt_matrix(classes, 3)) == \
-        brandt_matrix(classes, 6)
+    coll = collection_for(11)
+    assert mat_mul(coll.matrix(2), coll.matrix(3)) == coll.matrix(6)
 
 
 def test_level_matrix_involution():
     for N in (11, 37, 43):
-        classes = classes_for(N)
-        BN = brandt_matrix(classes, N)
-        n = classes.n
+        coll = collection_for(N)
+        BN = coll.matrix(N)
+        n = coll.n
         assert all(x in (0, 1) for row in BN for x in row)
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
         assert mat_mul(BN, BN) == ident
-        assert brandt_matrix(classes, N * N) == ident
+        assert coll.matrix(N * N) == ident
 
 
 def test_theta_series_symmetry():
     # w_i theta_ij = w_j theta_ji as q-series; at N=11: 2 theta_12 = 3 theta_21
-    classes = classes_for(11)
-    w = classes.weights
-    t12 = theta_series(classes, 0, 1, 9)
-    t21 = theta_series(classes, 1, 0, 9)
+    coll = collection_for(11, bound=9)
+    w = coll.weights
+    t12 = coll.theta(0, 1, 9)
+    t21 = coll.theta(1, 0, 9)
     assert w[0] * t12.constant == w[1] * t21.constant
     for m in range(1, 10):
         assert w[0] * t12.coefficient(m) == w[1] * t21.coefficient(m)
 
 
 def test_theta_constant_term():
-    classes = classes_for(37)
+    coll = collection_for(37, bound=5)
     for i in range(3):
-        t = theta_series(classes, i, 0, 5)
-        assert t.constant == Fraction(1, 2 * classes.weights[i])
+        t = coll.theta(i, 0, 5)
+        assert t.constant == Fraction(1, 2 * coll.weights[i])
         assert t.coefficient(1) == (1 if i == 0 else 0)
 
 
@@ -145,12 +151,30 @@ def test_collection_covers_level_matrix():
     classes = classes_for(37)
     coll = BrandtCollection(classes, bound=5)
     assert 37 in coll.available()
-    assert coll.matrix(37) == brandt_matrix(classes, 37)
+    counted = [[classes.translation_module(i, j).count_vectors(37)
+                // (2 * classes.weights[i]) for j in range(3)]
+               for i in range(3)]
+    assert coll.matrix(37) == counted
 
 
 def test_brandt_matrices_commute():
-    classes = classes_for(43)
-    mats = [brandt_matrix(classes, m) for m in range(1, 8)]
+    coll = collection_for(43, bound=7)
+    mats = [coll.matrix(m) for m in range(1, 8)]
     for A in mats:
         for B in mats:
             assert mat_mul(A, B) == mat_mul(B, A)
+
+
+def test_commutativity_certificate_detects_failures():
+    coll = collection_for(37, bound=12)
+    args = (coll.level, coll.weights, coll.bound)
+    ok, detail = check_commutativity(*args, stored_matrices(coll))
+    assert ok, detail
+    mats = stored_matrices(coll)
+    mats[3] = [[2, 2, 0], [2, 0, 2], [0, 2, 2]]
+    ok, detail = check_commutativity(*args, mats)
+    assert not ok and detail == "B(2) and B(3) do not commute"
+    mats = stored_matrices(coll)
+    mats[12] = [row[::-1] for row in mats[12]]
+    ok, detail = check_commutativity(*args, mats)
+    assert not ok and detail == "B(12) != B(4) B(3)"

@@ -35,15 +35,33 @@ def test_record_roundtrip(tmp_path):
 def test_verify_record_passes():
     record = json.loads(to_json(cached_analysis(11).record))
     results = verify_record(record)
-    assert len(results) == 14
+    assert len(results) == 16
     assert all(ok for _, ok, _ in results), results
+    assert [name for name, _, _ in results
+            if name.startswith("brandt-")] == \
+        [name for name, _, _ in cached_analysis(11).checks
+         if name.startswith("brandt-")]
 
 
 def test_verify_detects_corruption():
     record = copy.deepcopy(json.loads(to_json(cached_analysis(11).record)))
     record["brandt"]["2"][0][0] += 1
     failed = {name for name, ok, _ in verify_record(record) if not ok}
-    assert failed & {"weighted-symmetry", "column-sums"}
+    assert failed & {"brandt-weighted-symmetry", "brandt-column-sums"}
+
+
+def test_verify_replays_hecke_recursion():
+    record = copy.deepcopy(json.loads(to_json(cached_analysis(37).record)))
+    record["brandt"]["4"][0][0] += 1
+    failed = {name for name, ok, _ in verify_record(record) if not ok}
+    assert "brandt-hecke-recursion" in failed
+
+
+def test_verify_replays_commutativity_certificate():
+    record = copy.deepcopy(json.loads(to_json(cached_analysis(37).record)))
+    record["brandt"]["6"][0][0] += 1
+    failed = {name for name, ok, _ in verify_record(record) if not ok}
+    assert "brandt-commutativity" in failed
 
 
 def test_verify_detects_dim_tampering():
@@ -61,6 +79,21 @@ def test_schema_mismatch_raises(tmp_path):
     with pytest.raises(MigrationError):
         load_record(path)
     assert main(["verify", str(path)]) == 2
+
+
+@pytest.mark.parametrize("missing", ["brandt", "brandt-2"])
+def test_verify_malformed_record_exits_2(missing, tmp_path, capsys):
+    record = json.loads(to_json(cached_analysis(11).record))
+    if missing == "brandt":
+        del record["brandt"]
+    else:
+        del record["brandt"]["2"]
+    path = tmp_path / "malformed.json"
+    write_record(record, path)
+    with pytest.raises(ValueError):
+        load_record(path)
+    assert main(["verify", str(path)]) == 2
+    assert "cannot read record" in capsys.readouterr().err
 
 
 def test_old_tool_version_record_verifies(capsys):
