@@ -4,10 +4,9 @@ definite quaternion algebra ramified at one prime."""
 from .analysis import AnalysisResult, analyze
 from .brandt import BrandtCollection, ThetaSeries, structural_checks
 from .ideals import (ClassList, LeftIdeal, enumerate_classes, ideal_inverse,
-                     ideal_product, is_equivalent, p_neighbors, right_order,
-                     unit_weight)
+                     is_equivalent, p_neighbors, right_order, unit_weight)
 from .intmat import charpoly, exact_rank
-from .lattices import QuatLattice, count_vectors
+from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder, maximal_order, reduced_discriminant
 from .quatalg import (ConsistencyError, ConstructionError, QuaternionAlgebra,
                       QuatElement, construct_algebra, hilbert_symbol,
@@ -31,10 +30,9 @@ __all__ = [
     "AnalysisResult", "analyze",
     "BrandtCollection", "ThetaSeries", "structural_checks",
     "ClassList", "LeftIdeal", "enumerate_classes", "ideal_inverse",
-    "ideal_product", "is_equivalent", "p_neighbors", "right_order",
-    "unit_weight",
+    "is_equivalent", "p_neighbors", "right_order", "unit_weight",
     "charpoly", "exact_rank",
-    "QuatLattice", "count_vectors",
+    "QuatLattice", "product_lattice",
     "QuatOrder", "maximal_order", "reduced_discriminant",
     "ConsistencyError", "ConstructionError", "QuaternionAlgebra",
     "QuatElement", "construct_algebra", "hilbert_symbol", "is_prime",

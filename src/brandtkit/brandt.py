@@ -94,6 +94,10 @@ class BrandtCollection:
 
     def theta(self, i, j, bound=None):
         bound = self.bound if bound is None else bound
+        if bound > self.bound:  # one sweep per module, not one per B(m)
+            for a in range(self.n):
+                for b in range(self.n):
+                    self.classes.translation_module(a, b).counts_up_to(bound)
         coeffs = [self.matrix(m)[i][j] for m in range(1, bound + 1)]
         return ThetaSeries(Fraction(1, 2 * self.weights[i]), coeffs)
 

@@ -103,14 +103,9 @@ def ideal_inverse(lattice):
     return lattice.conjugated().scaled(1 / lattice.content())
 
 
-def ideal_product(L1, L2):
-    """Lattice product L1 * L2 (all pairwise products, then HNF)."""
-    return product_lattice(L1, L2)
-
-
 def is_equivalent(I, J):
     """Same left ideal class: the normalized norm form on J^-1 I represents 1."""
-    lat = ideal_product(ideal_inverse(J.lattice), I.lattice)
+    lat = product_lattice(ideal_inverse(J.lattice), I.lattice)
     return lat.count_vectors(1) > 0
 
 
@@ -240,8 +235,8 @@ class ClassList:
         """M_ij = I_j^-1 I_i, the lattice whose theta series feeds B(m)_ij."""
         key = (i, j)
         if key not in self._translations:
-            self._translations[key] = ideal_product(self.ideal_inverse(j),
-                                                    self.ideals[i].lattice)
+            self._translations[key] = product_lattice(
+                self.ideal_inverse(j), self.ideals[i].lattice)
         return self._translations[key]
 
 

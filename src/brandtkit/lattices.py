@@ -5,10 +5,12 @@ integers over the coordinate basis 1, i, j, k, divided by a common positive
 denominator.  That representation is canonical, so lattice equality is just
 tuple equality.
 
-Vector counting follows the usual hybrid: a floating-point LDL^T of the Gram
-matrix proposes candidate boxes (slightly inflated), and every candidate is
-accepted or rejected with an exact integer evaluation of the norm form.
-Counts are cached per lattice up to the largest bound requested so far.
+Vector counting follows the usual hybrid.  One L^2-style LLL pass decides
+its steps in floats and updates the Gram matrix by exact integer operations;
+its float LDL^T proposes candidate boxes (slightly inflated), and every
+candidate is accepted or rejected with an exact integer evaluation of the
+reduced norm form.  Counts are cached per lattice up to the largest bound
+requested so far.
 """
 
 from fractions import Fraction
@@ -126,18 +128,6 @@ class QuatLattice:
                 return False
         return True
 
-    def coordinates(self, elem):
-        """Integer coordinates of elem in this basis (raises if not a member)."""
-        coords = elem.coords if isinstance(elem, QuatElement) else elem
-        inv = self.inv_mat()
-        out = []
-        for col in range(4):
-            s = sum(Fraction(coords[k]) * inv[k][col] for k in range(4)) * self.den
-            if s.denominator != 1:
-                raise ValueError("element is not in the lattice")
-            out.append(int(s))
-        return out
-
     def scaled(self, c):
         c = Fraction(c)
         mat = [[x * c.numerator for x in row] for row in self.mat]
@@ -180,84 +170,64 @@ class QuatLattice:
         return [counts.get(m, 0) for m in range(bound + 1)]
 
 
-def _gso(A):
-    """Exact Gram-Schmidt data (mu, B) from a Gram matrix alone."""
-    n = len(A)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
-    s = [[Fraction(0)] * n for _ in range(n)]  # s[i][j] = b_i . b*_j
-    for i in range(n):
-        for j in range(i + 1):
-            v = Fraction(A[i][j])
-            for t in range(j):
-                v -= mu[j][t] * s[i][t]
-            s[i][j] = v
-            if j < i:
-                mu[i][j] = v / B[j]
-            else:
-                B[i] = v
-    return mu, B
+DELTA = 0.99  # Lovasz constant
+ETA = 0.51  # size-reduction bound on |mu|
 
 
-def _gram_row_op(A, k, j, r):
-    """Gram update for b_k <- b_k - r b_j."""
-    n = len(A)
-    for t in range(n):
-        A[k][t] -= r * A[j][t]
-    for t in range(n):
-        A[t][k] -= r * A[t][j]
+def _lll_gram(G):
+    """LLL-reduced Gram matrix with its float LDL^T: (A, L, D), A ~ L D L^T.
 
+    An L^2-style loop (Nguyen-Stehle, "An LLL algorithm with quadratic
+    complexity", SIAM J. Comput. 2009) on the Gram matrix alone.  For each
+    row k, r_kj = <b_k, b*_j> and mu_kj = r_kj / D_j are recomputed in floats
+    from the exact row k of A and the stored data of the rows above it; b_k
+    is size-reduced by exact integer row and column operations until every
+    |mu_kj| <= ETA, and then D_k decides the Lovasz test at DELTA: swap and
+    go back one row, or move on.  While the input is still unreduced a D_k
+    can read <= 0; that fails the test and swaps.
 
-def _lll_gram(G, delta=Fraction(99, 100)):
-    """LLL-reduced Gram matrix, computed exactly on the Gram alone.
-
-    HNF bases of ideal products can be skew enough (entries ~N^2 apart)
-    that a float Cholesky descent on the raw Gram silently loses boundary
-    vectors; counting on the reduced Gram is equivalent and conditions the
-    float stage to harmless error levels.
+    The floats only decide which steps to take.  Every change to A is an
+    integer unimodular operation, so A is exactly the Gram matrix of a basis
+    of the same lattice whatever they decide, and the enumeration accepts
+    each candidate with the exact integer form A.  The entries of G must
+    convert to floats (below about 1e308).
     """
     A = [list(row) for row in G]
     n = len(A)
-    k = 1
+    L = [[float(i == j) for j in range(n)] for i in range(n)]  # the mu_kj
+    D = [0.0] * n
+    k = 0
     while k < n:
-        mu, B = _gso(A)
-        changed = False
-        for j in range(k - 1, -1, -1):
-            r = round(mu[k][j])
-            if r:
-                _gram_row_op(A, k, j, r)
-                changed = True
-        if changed:
-            mu, B = _gso(A)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        Ak, Lk, rk = A[k], L[k], [0.0] * n
+        while True:
+            for j in range(k):
+                s = float(Ak[j])
+                for t in range(j):
+                    s -= L[j][t] * rk[t]
+                rk[j] = s
+                Lk[j] = s / D[j]
+            if all(abs(Lk[j]) <= ETA for j in range(k)):
+                break
+            for j in range(k - 1, -1, -1):
+                x = round(Lk[j])
+                if x:  # b_k <- b_k - x b_j
+                    for t in range(j):
+                        Lk[t] -= x * L[j][t]
+                    for t in range(n):
+                        Ak[t] -= x * A[j][t]
+                    for t in range(n):
+                        A[t][k] -= x * A[t][j]
+        D[k] = float(Ak[k]) - sum(Lk[j] * rk[j] for j in range(k))
+        if k == 0 or D[k] >= (DELTA - Lk[k - 1] ** 2) * D[k - 1]:
             k += 1
         else:
             A[k], A[k - 1] = A[k - 1], A[k]
             for row in A:
                 row[k], row[k - 1] = row[k - 1], row[k]
-            k = max(k - 1, 1)
-    return A
-
-
-def _ldl(G):
-    """Floating LDL^T of a symmetric positive definite 4x4 matrix."""
-    n = len(G)
-    L = [[0.0] * n for _ in range(n)]
-    D = [0.0] * n
-    for i in range(n):
-        for j in range(i):
-            s = float(G[i][j])
-            for k in range(j):
-                s -= L[i][k] * L[j][k] * D[k]
-            L[i][j] = s / D[j] if D[j] else 0.0
-        s = float(G[i][i])
-        for k in range(i):
-            s -= L[i][k] * L[i][k] * D[k]
-        D[i] = s
-        L[i][i] = 1.0
-        if D[i] <= 0.0:
-            raise ConsistencyError("norm form is not positive definite")
-    return L, D
+            k -= 1
+    if min(D) <= 0.0:
+        raise ConsistencyError("norm form is not positive definite")
+    return A, L, D
 
 
 def _count_by_value(G, cint, bound):
@@ -265,12 +235,12 @@ def _count_by_value(G, cint, bound):
 
     The float descent only proposes candidates; each one is checked with the
     exact integer form, so the counts are exact as long as the inflated boxes
-    do not truncate.  The Gram matrix is LLL-reduced first (exactly), which
-    keeps the float stage well-conditioned regardless of how skew the HNF
-    basis was.
+    do not truncate.  The boxes come from the float LDL^T that _lll_gram
+    returns with the reduced Gram matrix: HNF bases of ideal products can
+    be skew (entries ~N^2 apart), and on the reduced basis the descent
+    works at harmless error levels.
     """
-    G = _lll_gram(G)
-    L, D = _ldl(G)
+    G, L, D = _lll_gram(G)
     target = bound * cint
     budget = float(target) * (1.0 + 1e-7) + 1e-6
     counts = {}
@@ -322,10 +292,6 @@ def _count_by_value(G, cint, bound):
                         else:
                             counts[m] = counts.get(m, 0) + 1
     return counts
-
-
-def count_vectors(lat, m):
-    return lat.count_vectors(m)
 
 
 def product_lattice(L1, L2):

@@ -260,3 +260,21 @@ def brute_supersingular_minpolys(N):
         if (F.q + 1 - count) % N == 0:
             result.append(F.minpoly_pair(j))
     return sorted(result)
+
+
+def gram_schmidt(gram):
+    """Exact Gram-Schmidt data (mu, B) of a positive definite Gram matrix.
+
+    Read off leading principal minors: with d_j the determinant of the top
+    left j x j block, B_j = d_{j+1} / d_j, and mu_ij is the determinant of
+    rows 0..j-1, i and columns 0..j of the Gram matrix over d_{j+1}.
+    """
+    n = len(gram)
+    d = [rational_det([row[:j] for row in gram[:j]]) for j in range(n + 1)]
+    B = [d[j + 1] / d[j] for j in range(n)]
+    mu = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows = gram[:j] + [gram[i]]
+            mu[i][j] = rational_det([row[:j + 1] for row in rows]) / d[j + 1]
+    return mu, B

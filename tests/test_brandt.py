@@ -135,6 +135,25 @@ def test_theta_constant_term():
         assert t.coefficient(1) == (1 if i == 0 else 0)
 
 
+def test_theta_past_stored_range_sweeps_each_module_once(monkeypatch):
+    import brandtkit.lattices as lattices
+
+    coll = collection_for(11)
+    calls = []
+    count = lattices._count_by_value
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(lattices, "_count_by_value", counted)
+    theta = coll.theta(0, 0, 60)
+    assert len(calls) <= coll.n ** 2
+    counts = coll.classes.translation_module(0, 0).counts_up_to(60)
+    assert theta.coefficients == [counts.get(m, 0) // (2 * coll.weights[0])
+                                  for m in range(1, 61)]
+
+
 def test_cusp_form_as_theta_difference():
     # theta_11 - theta_12 = q - 2q^2 - q^3 + 2q^4 + q^5 + 2q^6 - 2q^7 - 2q^9
     classes = classes_for(11)

@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 from brandtkit.ideals import (EnumerationError, LeftIdeal, enumerate_classes,
-                              ideal_inverse, ideal_product, is_equivalent,
-                              p_neighbors, right_order, unit_weight)
+                              ideal_inverse, is_equivalent, p_neighbors,
+                              right_order, unit_weight)
+from brandtkit.lattices import product_lattice
 from brandtkit.orders import maximal_order, reduced_discriminant
 from brandtkit.quatalg import construct_algebra
 
@@ -47,7 +48,7 @@ def test_right_order_of_unit_ideal_is_order():
         _, ideals = ideals_with_neighbours(N)
         for I in ideals:
             ro = right_order(I).lattice
-            assert ideal_product(I.lattice, ro) == I.lattice
+            assert product_lattice(I.lattice, ro) == I.lattice
 
 
 def test_ideal_inverse_and_product():
@@ -55,17 +56,17 @@ def test_ideal_inverse_and_product():
         order = maximal_order(construct_algebra(N))
         lat = order.lattice
         assert ideal_inverse(lat) == lat
-        assert ideal_product(lat, lat) == lat
+        assert product_lattice(lat, lat) == lat
         classes, ideals = ideals_with_neighbours(N)
         for j in range(classes.n):
             I = classes.ideals[j].lattice
             inv = classes.ideal_inverse(j)
             assert inv.content() * I.content() == \
-                ideal_product(I, inv).content()
+                product_lattice(I, inv).content()
         for I in ideals:
             inv = ideal_inverse(I.lattice)
-            assert ideal_product(I.lattice, inv) == classes.order.lattice
-            assert ideal_product(inv, I.lattice) == right_order(I).lattice
+            assert product_lattice(I.lattice, inv) == classes.order.lattice
+            assert product_lattice(inv, I.lattice) == right_order(I).lattice
 
 
 def test_p_neighbors_shape():

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from brandtkit.lattices import QuatLattice, product_lattice
+from brandtkit.ideals import enumerate_classes
+from brandtkit.lattices import (QuatLattice, _count_by_value, _lll_gram,
+                                product_lattice)
 from brandtkit.orders import maximal_order
-from brandtkit.quatalg import ConsistencyError, construct_algebra
+from brandtkit.quatalg import ConsistencyError, bilin4, construct_algebra
 
 
 def order_lattice(N):
@@ -138,39 +140,61 @@ def random_spd_gram(rng, scale=6):
 
 
 def test_lll_gram_preserves_determinant_and_reduces():
-    from brandtkit.lattices import _lll_gram
-
     rng = random.Random(21)
     for _ in range(12):
         G = random_spd_gram(rng)
-        R = _lll_gram(G)
+        R, L, D = _lll_gram(G)
         assert oracles.rational_det(R) == oracles.rational_det(G)
         assert all(R[i][j] == R[j][i] for i in range(4) for j in range(4))
         assert min(R[i][i] for i in range(4)) <= min(G[i][i] for i in range(4))
+        assert min(D) > 0
+
+
+def translation_modules(N):
+    classes = enumerate_classes(maximal_order(construct_algebra(N)), level=N)
+    return [classes.translation_module(i, j)
+            for i in range(classes.n) for j in range(classes.n)]
+
+
+def test_lll_gram_output_is_reduced():
+    # exact check of |mu| <= 0.51 and Lovasz at 0.99 on the returned Gram,
+    # and of the float LDL^T against it
+    for N in (11, 37):
+        for lat in translation_modules(N):
+            A, L, D = _lll_gram(lat.gram_int())
+            mu, B = oracles.gram_schmidt(A)
+            for k in range(4):
+                assert all(abs(mu[k][j]) <= Fraction(51, 100)
+                           for j in range(k)), (N, A)
+                if k:
+                    assert B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) \
+                        * B[k - 1], (N, A)
+                for t in range(4):
+                    ldl = sum(L[k][s] * D[s] * L[t][s] for s in range(4))
+                    scale = (A[k][k] * A[t][t]) ** 0.5
+                    assert abs(ldl - A[k][t]) <= 1e-9 * scale, (N, A)
 
 
 def test_counts_on_skew_bases():
-    # shear the order basis hard; counts must not change
+    # shear the order basis hard and count on the sheared Gram itself; the
+    # largest shears give Gram entries of about 1e100
     lat = order_lattice(11)
+    a, b = lat.alg.a, lat.alg.b
+    want = lat.counts_up_to(8)
     rng = random.Random(4)
-    for _ in range(6):
+    for digits in (2, 2, 5, 10, 20, 50):
         rows = [list(r) for r in lat.mat]
-        for _ in range(12):
-            r, s = rng.randrange(4), rng.randrange(4)
-            if r != s:
-                f = rng.randint(20, 90)
-                rows[r] = [x + f * y for x, y in zip(rows[r], rows[s])]
-        skew = QuatLattice.from_rows(lat.alg, rows, lat.den)
-        assert skew == lat
-        fresh = QuatLattice(lat.alg, [list(r) for r in lat.mat], lat.den)
-        assert fresh.counts_up_to(8) == lat.counts_up_to(8)
+        while max(abs(x) for row in rows for x in row) < 10 ** digits:
+            r, s = rng.sample(range(4), 2)
+            f = rng.randint(20, 90)
+            rows[r] = [x + f * y for x, y in zip(rows[r], rows[s])]
+        G = [[bilin4(a, b, ri, rj) for rj in rows] for ri in rows]
+        assert _count_by_value(G, lat.content_int(), 8) == want, digits
 
 
 def test_extreme_translation_module_count():
     # ideal products at large levels produce very skew HNF bases; the count
     # at m = N must still be a multiple of 2 w_i (here 6)
-    from brandtkit.ideals import enumerate_classes
-
     classes = enumerate_classes(maximal_order(construct_algebra(179)),
                                 level=179)
     i = classes.weights.index(3)
