@@ -16,7 +16,15 @@ from fractions import Fraction
 
 from .intmat import identity, mat_mul
 from .quatalg import ConsistencyError, is_prime
-from .spectral import sigma_level
+
+
+def sigma_level(m, N):
+    """Sum of divisors of m that are prime to N."""
+    s = 0
+    for d in range(1, m + 1):
+        if m % d == 0 and d % N != 0:
+            s += d
+    return s
 
 
 class ThetaSeries:
@@ -141,7 +149,8 @@ def check_weighted_row_sums(level, weights, bound, mats):
         for i in range(n):
             s = sum(Fraction(B[i][j], weights[j]) for j in range(n))
             if s != Fraction(target, weights[i]):
-                return False, f"row {i + 1} of B({m}) weighted sum is {s}"
+                return False, (f"failed at m={m}, row {i + 1}: weighted "
+                               f"sum is {s}")
     return True, "weighted row sums equal sigma(m)/w_i"
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .brandt import structural_checks
 from .intmat import exact_rank
+from .report import exact_rho
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -174,8 +175,9 @@ def verify_record(record):
     add("atkin-lehner-bound", bound_ok, f"rho={rho} against recomputed dims")
 
     tn = record["spectral"]["tn_signs"]
-    add("rho-consistency", rho == sum(1 for s in tn if s == -1),
-        "rho matches stored T_N signs")
+    add("rho-consistency",
+        rho == sum(1 for s in tn if s == -1) and rho == exact_rho(brandt[N]),
+        "rho matches stored T_N signs and (n - tr B(N))/2")
 
     add("stored-ledger", all(ok for _, ok, _ in record["checks"]),
         f"{len(record['checks'])} recorded checks")

@@ -8,9 +8,17 @@ eigenforms labelled by Sigma(i) are a basis.
 
 All headline dimensions come from fraction-free integer rank; the numeric
 set Sigma(i) is reconciled against that rank and never trusted on its own.
+
+The count rho of cusp forms with B(N)-eigenvalue -1 is exact as well:
+B(N) is 1 on the Eisenstein vector and +-1 on the cusp forms, so
+rho = (n - tr B(N))/2.  It is the probe's first certificate: when
+0 < rho < n - 1 the idempotents (1 +- B(N))/2 split the cuspidal Hecke
+algebra, which is then a product, and no charpoly is needed.  The
+expansion identities are checked once per level in O(M n^3).
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from .intmat import (charpoly, divides_exactly, exact_rank,
@@ -83,42 +91,67 @@ def sigma_set(spec, i, tol=SIGMA_TOL, target=None):
         f"Sigma({i + 1}) has {len(labels)} labels but exact rank is {target}")
 
 
-def verify_expansion_identities(coll, spec, i, j):
-    """Largest coefficient residual of the two expansion identities at (i,j).
+def verify_expansion_identities(coll, spec):
+    """Coefficient residuals of the two expansion identities, per (i, j).
 
     Identity (2): w_i B(m)_ij = sum_k ([j],f_k)([i],f_k) alpha_k(T_m).
     Identity (1): ([i],f_k) alpha_k(T_m) = w_i sum_l (f_k)_l B(m)_il.
-    Returns (residual, scale) with scale = max |w_i B(m)_ij| over m.
+    Returns the n x n table of (residual, scale): the residual is the
+    largest of both identities over m = 1..M (identity (1) does not depend
+    on j and is evaluated once per row), the scale max |w_i B(m)_ij| over
+    m, at least 1.
     """
     n = spec.n
     w = spec.weights
-    worst = 0.0
-    scale = 1.0
+    vec = spec.eigenvectors
+    pair = [[w[i] * vec[k][i] for i in range(n)] for k in range(n)]
+    resid = [[0.0] * n for _ in range(n)]
+    scale = [[1.0] * n for _ in range(n)]
+    row_resid = [0.0] * n  # identity (1), per row i
     for m in range(1, coll.bound + 1):
         B = coll.matrix(m)
-        lhs = float(w[i] * B[i][j])
-        scale = max(scale, abs(lhs))
-        rhs = sum((w[j] * spec.eigenvectors[k][j]) *
-                  (w[i] * spec.eigenvectors[k][i]) * spec.character(k, m)
-                  for k in range(n))
-        worst = max(worst, abs(lhs - rhs))
-        for k in range(n):
-            one_lhs = w[i] * spec.eigenvectors[k][i] * spec.character(k, m)
-            one_rhs = w[i] * sum(spec.eigenvectors[k][l] * B[i][l]
-                                 for l in range(n))
-            worst = max(worst, abs(one_lhs - one_rhs))
-    return worst, scale
+        alpha = [spec.character(k, m) for k in range(n)]
+        for i in range(n):
+            Bi = B[i]
+            for k in range(n):
+                one_lhs = pair[k][i] * alpha[k]
+                one_rhs = w[i] * sum(vec[k][l] * Bi[l] for l in range(n))
+                row_resid[i] = max(row_resid[i], abs(one_lhs - one_rhs))
+            for j in range(n):
+                lhs = float(w[i] * Bi[j])
+                scale[i][j] = max(scale[i][j], abs(lhs))
+                rhs = sum(pair[k][j] * pair[k][i] * alpha[k]
+                          for k in range(n))
+                resid[i][j] = max(resid[i][j], abs(lhs - rhs))
+    return [[(max(resid[i][j], row_resid[i]), scale[i][j]) for j in range(n)]
+            for i in range(n)]
+
+
+def exact_rho(BN):
+    """rho = (n - tr B(N))/2, the number of cusp forms with B(N) = -1.
+
+    B(N) is 1 on the Eisenstein vector and +-1 on the cusp forms, so its
+    trace is n - 2 rho.  A Fraction, integral whenever B(N) is an
+    involution (its trace then counts fixed points).
+    """
+    return Fraction(len(BN) - sum(BN[i][i] for i in range(len(BN))), 2)
 
 
 def atkin_lehner_rho(spec, coll, dims):
     """rho and the per-fixed-point dimension bound.
 
-    rho counts cuspidal eigenforms with B(N)-eigenvalue -1.  For every i
-    fixed by the level involution (B(N)_ii = 1) the theta space must miss
-    at least rho eigenforms: n - dim_i >= rho.
+    rho counts cuspidal eigenforms with B(N)-eigenvalue -1; the exact
+    (n - tr B(N))/2 must equal the count of numeric -1 signs, otherwise
+    ConsistencyError.  For every i fixed by the level involution
+    (B(N)_ii = 1) the theta space must miss at least rho eigenforms:
+    n - dim_i >= rho.
     """
     BN = coll.matrix(coll.level)
     rho = sum(1 for s in spec.tn_signs if s == -1)
+    exact = exact_rho(BN)
+    if exact != rho:
+        raise ConsistencyError(f"(n - tr B(N))/2 = {exact} but {rho} "
+                               "numeric B(N)-eigenvalues are -1")
     checks = []
     for i in range(coll.n):
         if BN[i][i] == 1:
@@ -184,16 +217,24 @@ def hecke_field_probe(coll, seed=0):
     """Decide whether the cuspidal Hecke algebra spans a single field.
 
     Returns ("field", detail), ("product", detail) or ("inconclusive",
-    detail).  A "field" verdict is certified by irreducibility mod p of the
-    exact characteristic polynomial of a generic Hecke combination on the
-    augmentation kernel; "product" by an exact integer factorization viewed
-    off the numeric spectrum.  With n <= 2 the kernel algebra has degree
-    at most 1 and the verdict is "field" by convention.
+    detail).  With n <= 2 the kernel algebra has degree at most 1 and the
+    verdict is "field" by convention.  Otherwise "product" is certified
+    first by rho = (n - tr B(N))/2: B(N) lies in the Hecke algebra (Pizer
+    1980), so when 0 < rho < n - 1 the idempotents (1 +- B(N))/2 split
+    it into parts of degree n - 1 - rho and rho.  When rho is 0 or n - 1,
+    a "field" verdict is certified by irreducibility mod p of the exact
+    characteristic polynomial of a generic Hecke combination on the
+    augmentation kernel; "product" by an exact integer factorization
+    viewed off the numeric spectrum.
     """
     n = coll.n
     N = coll.level
     if n <= 2:
         return "field", f"degree {n - 1} is trivially a field"
+    rho = exact_rho(coll.matrix(N))
+    if 0 < rho < n - 1:
+        return "product", (f"rho = {rho}: idempotents (1 +- B(N))/2 split "
+                           f"the kernel into degrees {n - 1 - rho} and {rho}")
     primes = [p for p in range(2, coll.bound + 1) if is_prime(p) and p != N][:4]
     rng = random.Random(seed)
     last = "no squarefree combination found"
@@ -261,14 +302,10 @@ def build_report(coll, spec, probe_seed=0):
     checks.append(("theta-eisenstein-membership", eis_ok,
                    f"label {eis_label} present in every Sigma(i)"))
 
-    worst = 0.0
-    ok32 = True
-    for i in range(n):
-        for j in range(n):
-            resid, scale = verify_expansion_identities(coll, spec, i, j)
-            worst = max(worst, resid / scale)
-            if resid > SERIES_TOL * scale:
-                ok32 = False
+    table = [cell for row in verify_expansion_identities(coll, spec)
+             for cell in row]
+    worst = max(resid / scale for resid, scale in table)
+    ok32 = all(resid <= SERIES_TOL * scale for resid, scale in table)
     checks.append(("eigenform-expansion", ok32,
                    f"max scaled residual {worst:.2e}"))
 

@@ -15,19 +15,11 @@ import random
 from fractions import Fraction
 from math import sqrt
 
+from .brandt import check_weighted_row_sums, sigma_level
 from .quatalg import ConsistencyError, is_prime
 
 RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-9
-
-
-def sigma_level(m, N):
-    """Sum of divisors of m that are prime to N."""
-    s = 0
-    for d in range(1, m + 1):
-        if m % d == 0 and d % N != 0:
-            s += d
-    return s
 
 
 def sturm_bound(N):
@@ -57,16 +49,15 @@ def eisenstein_vector(weights):
 
 
 def eisenstein_exact_check(coll):
-    """B(m) (1/w_j)_j = sigma(m) (1/w_i)_i in exact rationals, every stored m."""
-    w = coll.weights
-    v = [Fraction(1, wi) for wi in w]
-    for m in coll.available():
-        B = coll.matrix(m)
-        target = sigma_level(m, coll.level)
-        for i in range(coll.n):
-            s = sum(B[i][j] * v[j] for j in range(coll.n))
-            if s != target * v[i]:
-                return False, f"Eisenstein identity failed at m={m}, row {i + 1}"
+    """B(m) (1/w_j)_j = sigma(m) (1/w_i)_i in exact rationals, every stored m.
+
+    This is the weighted-row-sum identity of brandt.check_weighted_row_sums,
+    run on the collection's stored matrices (it reads no bound).
+    """
+    mats = {m: coll.matrix(m) for m in coll.available()}
+    ok, detail = check_weighted_row_sums(coll.level, coll.weights, None, mats)
+    if not ok:
+        return False, f"Eisenstein identity {detail}"
     return True, "exact rational eigenvector for every stored B(m)"
 
 

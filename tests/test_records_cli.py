@@ -64,6 +64,17 @@ def test_verify_replays_commutativity_certificate():
     assert "brandt-commutativity" in failed
 
 
+def test_verify_replays_exact_rho():
+    # rho and the signs moved together still disagree with (n - tr B(N))/2
+    record = copy.deepcopy(json.loads(to_json(cached_analysis(37).record)))
+    assert record["theta"]["rho"] == 1
+    record["theta"]["rho"] = 0
+    record["spectral"]["tn_signs"] = [1 if s == -1 else s for s in
+                                      record["spectral"]["tn_signs"]]
+    failed = {name for name, ok, _ in verify_record(record) if not ok}
+    assert failed == {"rho-consistency"}
+
+
 def test_verify_detects_dim_tampering():
     record = copy.deepcopy(json.loads(to_json(cached_analysis(11).record)))
     record["theta"]["dims"][0] = 1

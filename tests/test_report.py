@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from brandtkit.ideals import enumerate_classes
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
 from brandtkit.report import (SERIES_TOL, atkin_lehner_rho, build_report,
-                              dim_theta_exact, full_span_check,
+                              dim_theta_exact, exact_rho, full_span_check,
                               hecke_field_probe, sigma_set,
                               verify_expansion_identities)
 from brandtkit.spectral import eigendecompose, sigma_level
@@ -76,10 +77,42 @@ def test_sigma_set_target_reconciliation():
 def test_expansion_identities_within_tolerance():
     for N in (11, 37):
         coll, spec = pipeline(N)
+        table = verify_expansion_identities(coll, spec)
         for i in range(coll.n):
             for j in range(coll.n):
-                resid, scale = verify_expansion_identities(coll, spec, i, j)
+                resid, scale = table[i][j]
                 assert resid <= SERIES_TOL * scale, (N, i, j, resid)
+
+
+def _expansion_cell(coll, spec, i, j):
+    """Both identities evaluated directly at one (i, j), term by term."""
+    n = spec.n
+    w = spec.weights
+    worst = 0.0
+    scale = 1.0
+    for m in range(1, coll.bound + 1):
+        B = coll.matrix(m)
+        lhs = float(w[i] * B[i][j])
+        scale = max(scale, abs(lhs))
+        rhs = sum((w[j] * spec.eigenvectors[k][j]) *
+                  (w[i] * spec.eigenvectors[k][i]) * spec.character(k, m)
+                  for k in range(n))
+        worst = max(worst, abs(lhs - rhs))
+        for k in range(n):
+            one_lhs = w[i] * spec.eigenvectors[k][i] * spec.character(k, m)
+            one_rhs = w[i] * sum(spec.eigenvectors[k][l] * B[i][l]
+                                 for l in range(n))
+            worst = max(worst, abs(one_lhs - one_rhs))
+    return worst, scale
+
+
+def test_expansion_table_matches_direct_evaluation():
+    # the same floats as the per-(i, j) evaluation, to the last bit
+    for N in (11, 37, 43):
+        coll, spec = pipeline(N)
+        table = verify_expansion_identities(coll, spec)
+        assert [[_expansion_cell(coll, spec, i, j) for j in range(coll.n)]
+                for i in range(coll.n)] == table, N
 
 
 def test_explicit_relations_level_11():
@@ -119,7 +152,7 @@ def test_atkin_lehner_rho_level_11():
     assert coll.matrix(11) == [[1, 0], [0, 1]]
     rho, checks = atkin_lehner_rho(spec, coll,
                                    [dim_theta_exact(coll, i) for i in range(2)])
-    assert rho == 0
+    assert rho == 0 == exact_rho(coll.matrix(11))
     assert [i for i, _ in checks] == [0, 1]
     assert all(ok for _, ok in checks)
 
@@ -129,8 +162,17 @@ def test_atkin_lehner_rho_level_37():
     star = star_class(coll)
     dims = [dim_theta_exact(coll, i) for i in range(3)]
     rho, checks = atkin_lehner_rho(spec, coll, dims)
-    assert rho == 1
+    assert rho == 1 == exact_rho(coll.matrix(37))
     assert checks == [(star, True)]
+
+
+def test_atkin_lehner_rho_cross_checks_signs():
+    coll, spec = pipeline(37)
+    dims = [dim_theta_exact(coll, i) for i in range(3)]
+    flipped = copy.copy(spec)
+    flipped.tn_signs = [1 if s == -1 else s for s in spec.tn_signs]
+    with pytest.raises(ConsistencyError):
+        atkin_lehner_rho(flipped, coll, dims)
 
 
 def test_full_span_levels():
@@ -162,7 +204,29 @@ def test_probe_product_verdict_level_37():
     coll, _ = pipeline(37)
     verdict, detail = hecke_field_probe(coll, seed=0)
     assert verdict == "product"
-    assert "degree 1" in detail
+    assert detail == ("rho = 1: idempotents (1 +- B(N))/2 split the kernel "
+                      "into degrees 1 and 1")
+
+
+def test_probe_charpoly_path_level_71():
+    # B(71) is +-1 on the whole cusp space, so rho gives no certificate and
+    # the charpoly of a generic combination has to split (degrees 3 and 3)
+    coll, _ = pipeline(71)
+    assert exact_rho(coll.matrix(71)) in (0, coll.n - 1)
+    verdict, detail = hecke_field_probe(coll, seed=0)
+    assert verdict == "product"
+    assert detail == "charpoly has exact factor of degree 3"
+
+
+def test_probe_product_verdict_level_401():
+    # above the tested range: the charpoly probe ended "inconclusive" here
+    # (kernel charpoly factors with degrees 12 and 21); bound 8 covers the
+    # probe's four primes
+    coll, _ = pipeline(401, bound=8)
+    verdict, detail = hecke_field_probe(coll, seed=0)
+    assert verdict == "product", detail
+    assert detail == ("rho = 12: idempotents (1 +- B(N))/2 split the kernel "
+                      "into degrees 21 and 12")
 
 
 def test_build_report_level_11():
