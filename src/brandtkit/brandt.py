@@ -4,6 +4,14 @@ With classes I_1..I_n and weights w_i, entry (i,j) of B(m) counts the
 vectors of normalized norm m in M_ij = I_j^-1 I_i, divided by 2w_i.  The
 division must come out exact; a remainder means the classes or weights are
 wrong, and that is treated as an internal error rather than rounded away.
+Conjugation maps M_ji onto a rational multiple of M_ij with the same
+normalized norm form, so only the n(n+1)/2 modules with i <= j are counted,
+and only up to the coefficient bound M.
+
+B(N) is read off the two-sided ideal P of norm N instead: B(N)_ij = 1
+exactly when P I_i lies in the class of I_j (Pizer 1980), found with one
+equivalence test per candidate class.  When N <= M it comes from the counts
+like every other B(m).
 
 theta_ij(q) = 1/(2 w_i) + sum_m B(m)_ij q^m, and column j of the B(m) family
 collects the coefficients of the n theta series attached to I_j.
@@ -14,7 +22,9 @@ analyze runs it on a BrandtCollection, verify on a stored record.
 
 from fractions import Fraction
 
+from .ideals import LeftIdeal, is_equivalent, two_sided_ideal
 from .intmat import identity, mat_mul
+from .lattices import product_lattice
 from .quatalg import ConsistencyError, is_prime
 
 
@@ -60,12 +70,34 @@ class BrandtCollection:
         self._compute()
 
     def _compute(self):
-        sweep = max(self.bound, self.level)
-        tables = [[self.classes.translation_module(i, j).counts_up_to(sweep)
-                   for j in range(self.n)] for i in range(self.n)]
-        for m in {*range(1, self.bound + 1), self.level}:
+        counts = {}
+        for i in range(self.n):
+            for j in range(i, self.n):
+                counts[i, j] = counts[j, i] = self._module(i, j).counts_up_to(
+                    self.bound)
+        for m in range(1, self.bound + 1):
             self._matrices[m] = self._assemble(
-                lambda i, j: tables[i][j].get(m, 0))
+                lambda i, j: counts[i, j].get(m, 0))
+        if self.level > self.bound:
+            self._matrices[self.level] = self._level_matrix()
+
+    def _module(self, i, j):
+        """M_ij up to a scalar and conjugation: the module with i <= j."""
+        return self.classes.translation_module(min(i, j), max(i, j))
+
+    def _level_matrix(self):
+        """B(N): row i has its one 1 at the class of P I_i."""
+        classes = self.classes
+        P = two_sided_ideal(classes.order)
+        out = []
+        for i, I in enumerate(classes.ideals):
+            PI = LeftIdeal(classes.order, product_lattice(P, I.lattice))
+            j = next((j for j, J in enumerate(classes.ideals)
+                      if is_equivalent(PI, J)), None)
+            if j is None:
+                raise ConsistencyError(f"P I_{i + 1} lies in no known class")
+            out.append([int(k == j) for k in range(self.n)])
+        return out
 
     def _assemble(self, count):
         """B(m) from count(i, j) = #{x in M_ij : normalized norm m}."""
@@ -89,8 +121,7 @@ class BrandtCollection:
             return self.b0()
         if m not in self._matrices:
             self._matrices[m] = self._assemble(
-                lambda i, j: self.classes.translation_module(i, j)
-                .count_vectors(m))
+                lambda i, j: self._module(i, j).count_vectors(m))
         return self._matrices[m]
 
     def b0(self):
@@ -104,8 +135,8 @@ class BrandtCollection:
         bound = self.bound if bound is None else bound
         if bound > self.bound:  # one sweep per module, not one per B(m)
             for a in range(self.n):
-                for b in range(self.n):
-                    self.classes.translation_module(a, b).counts_up_to(bound)
+                for b in range(a, self.n):
+                    self._module(a, b).counts_up_to(bound)
         coeffs = [self.matrix(m)[i][j] for m in range(1, bound + 1)]
         return ThetaSeries(Fraction(1, 2 * self.weights[i]), coeffs)
 

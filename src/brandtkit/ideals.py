@@ -10,7 +10,9 @@ mass sum(1/w_i) reaches (N-1)/12.
 Every ideal here is an invertible lattice, so inverses and right orders
 have closed forms: I^-1 = conj(I) / nrd(I) and O_R(I) = conj(I) I / nrd(I),
 where nrd(I) is the normalized content of the norm form on I (Voight,
-Quaternion Algebras, GTM 288, the chapter on invertible lattices).
+Quaternion Algebras, GTM 288, the chapter on invertible lattices).  The
+two-sided ideal P of norm N is closed form as well: P = N O^#, with O^#
+the dual of the order under the reduced trace form.
 
 Etymology of the weights: w_i is the unit group of the right order R_i of
 I_i modulo {+-1}, i.e. half the number of norm-1 vectors of R_i.
@@ -19,7 +21,7 @@ I_i modulo {+-1}, i.e. half the number of norm-1 vectors of R_i.
 from collections import deque
 from fractions import Fraction
 
-from .intmat import mat_mul
+from .intmat import mat_inv, mat_mul
 from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder
 from .quatalg import ConsistencyError, mul4
@@ -101,6 +103,30 @@ def ideal_inverse(lattice):
     Satisfies N(I^-1) N(I) = 1 and I^-1 I = the right order of I.
     """
     return lattice.conjugated().scaled(1 / lattice.content())
+
+
+def two_sided_ideal(order):
+    """The two-sided ideal P of reduced norm N of a maximal order of level N.
+
+    P = N O^#, where O^# is the dual of O under the reduced trace form
+    trd(x conj(y)) = 2 <x, y>: on the basis of O, P has the coordinate rows
+    N T^-1, T the Gram matrix of that form.  Equivalently P is N O plus the
+    lift of the 2-dimensional radical of T mod N; P^2 = N O, and [I] ->
+    [P I] is the permutation B(N) of the left ideal classes (Pizer, "An
+    algorithm for computing modular forms on Gamma_0(N)", J. Algebra 1980).
+    """
+    lat = order.lattice
+    N = lat.alg.level
+    scale = Fraction(N * lat.den * lat.den, 2)  # N T^-1 = scale * Gram^-1
+    coeffs = [[scale * x for x in row] for row in mat_inv(lat.gram_int())]
+    if any(x.denominator != 1 for row in coeffs for x in row):
+        raise ConsistencyError("N times the dual of the order is not integral")
+    rows = mat_mul([[int(x) for x in row] for row in coeffs],
+                   [list(r) for r in lat.mat])
+    P = QuatLattice.from_rows(lat.alg, rows, lat.den)
+    if P.content() != N:
+        raise ConsistencyError(f"two-sided ideal has norm {P.content()}, not {N}")
+    return P
 
 
 def is_equivalent(I, J):

@@ -10,7 +10,7 @@ its steps in floats and updates the Gram matrix by exact integer operations;
 its float LDL^T proposes candidate boxes (slightly inflated), and every
 candidate is accepted or rejected with an exact integer evaluation of the
 reduced norm form.  Counts are cached per lattice up to the largest bound
-requested so far.
+requested so far; the LLL pass runs once per lattice.
 """
 
 from fractions import Fraction
@@ -24,7 +24,7 @@ class QuatLattice:
     """Full lattice (rank 4) in a definite quaternion algebra."""
 
     __slots__ = ("alg", "mat", "den", "_inv", "_content", "_gram_int",
-                 "_count_bound", "_counts")
+                 "_reduced", "_count_bound", "_counts")
 
     def __init__(self, alg, mat, den):
         if den == 0:
@@ -44,6 +44,7 @@ class QuatLattice:
         self._inv = None
         self._content = None
         self._gram_int = None
+        self._reduced = None
         self._count_bound = -1
         self._counts = None
 
@@ -153,7 +154,9 @@ class QuatLattice:
         """dict m -> #{x in L : Q(x)/content = m} for 0 <= m <= bound."""
         if bound <= self._count_bound:
             return self._counts
-        counts = _count_by_value(self.gram_int(), self.content_int(), bound)
+        if self._reduced is None:  # one LLL pass per lattice, whatever bound
+            self._reduced = _lll_gram(self.gram_int())
+        counts = _count_by_value(self._reduced, self.content_int(), bound)
         self._count_bound = bound
         self._counts = counts
         return counts
@@ -230,17 +233,17 @@ def _lll_gram(G):
     return A, L, D
 
 
-def _count_by_value(G, cint, bound):
-    """Exact histogram of Q/cint values <= bound on Z^4 with Gram G.
+def _count_by_value(reduced, cint, bound):
+    """Exact histogram of Q/cint values <= bound on Z^4, given the output
+    (G, L, D) of _lll_gram: G the reduced Gram matrix, G ~ L D L^T.
 
     The float descent only proposes candidates; each one is checked with the
-    exact integer form, so the counts are exact as long as the inflated boxes
-    do not truncate.  The boxes come from the float LDL^T that _lll_gram
-    returns with the reduced Gram matrix: HNF bases of ideal products can
-    be skew (entries ~N^2 apart), and on the reduced basis the descent
-    works at harmless error levels.
+    exact integer form G, so the counts are exact as long as the inflated
+    boxes do not truncate.  The boxes come from the float L D L^T: HNF bases
+    of ideal products can be skew (entries ~N^2 apart), and on the reduced
+    basis the descent works at harmless error levels.
     """
-    G, L, D = _lll_gram(G)
+    G, L, D = reduced
     target = bound * cint
     budget = float(target) * (1.0 + 1e-7) + 1e-6
     counts = {}

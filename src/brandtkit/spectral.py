@@ -233,16 +233,16 @@ def _decompose_once(coll, primes, coeffs, seed):
     # characters for every stored matrix, with residual control
     ms = coll.available()
     sym = {m: symmetrize(coll.matrix(m), weights) for m in ms}
+    norms = {m: _mat_inf_norm(sym[m]) or 1.0 for m in ms}
     max_residual = 0.0
     char_map = []
     for k, u in enumerate(eigvecs):
         row = {}
         for m in ms:
-            Sm = sym[m]
-            Su = _apply(Sm, u)
+            Su = _apply(sym[m], u)
             alpha = sum(u[i] * Su[i] for i in range(n))
             resid = max(abs(Su[i] - alpha * u[i]) for i in range(n))
-            norm = _mat_inf_norm(Sm) or 1.0
+            norm = norms[m]
             if resid > RESIDUAL_TOL * norm:
                 raise ConsistencyError(
                     f"residual {resid:.2e} too large at m={m} (combination "

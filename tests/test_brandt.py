@@ -6,11 +6,12 @@ import pytest
 import oracles
 from brandtkit.brandt import (BrandtCollection, check_commutativity,
                               structural_checks)
-from brandtkit.ideals import enumerate_classes
+from brandtkit.ideals import ClassList, enumerate_classes, ideal_inverse
 from brandtkit.intmat import mat_mul
+from brandtkit.lattices import product_lattice
 from brandtkit.orders import maximal_order
-from brandtkit.quatalg import construct_algebra
-from brandtkit.spectral import sigma_level
+from brandtkit.quatalg import ConsistencyError, construct_algebra
+from brandtkit.spectral import sigma_level, sturm_bound
 
 
 def classes_for(N):
@@ -148,7 +149,7 @@ def test_theta_past_stored_range_sweeps_each_module_once(monkeypatch):
 
     monkeypatch.setattr(lattices, "_count_by_value", counted)
     theta = coll.theta(0, 0, 60)
-    assert len(calls) <= coll.n ** 2
+    assert len(calls) <= coll.n * (coll.n + 1) // 2
     counts = coll.classes.translation_module(0, 0).counts_up_to(60)
     assert theta.coefficients == [counts.get(m, 0) // (2 * coll.weights[0])
                                   for m in range(1, 61)]
@@ -197,3 +198,36 @@ def test_commutativity_certificate_detects_failures():
     mats[12] = [row[::-1] for row in mats[12]]
     ok, detail = check_commutativity(*args, mats)
     assert not ok and detail == "B(12) != B(4) B(3)"
+
+
+@pytest.mark.parametrize("N", [37, 101, 139])
+def test_both_halves_reference(N):
+    # B(1..M) and B(N) from all n^2 translation modules, each built afresh
+    # and counted up to max(M, N), as in the textbook definition
+    classes = classes_for(N)
+    M = sturm_bound(N) + 2
+    coll = BrandtCollection(classes, M)
+    n, w = classes.n, classes.weights
+    top = max(M, N)
+    counts = [[product_lattice(ideal_inverse(classes.ideals[j].lattice),
+                               classes.ideals[i].lattice).counts_up_to(top)
+               for j in range(n)] for i in range(n)]
+    assert coll.available() == sorted({*range(1, M + 1), N})
+    for m in coll.available():
+        ref = [[Fraction(counts[i][j].get(m, 0), 2 * w[i]) for j in range(n)]
+               for i in range(n)]
+        assert all(x.denominator == 1 for row in ref for x in row), m
+        assert all(w[i] * ref[i][j] == w[j] * ref[j][i]
+                   for i in range(n) for j in range(n)), m
+        assert coll.matrix(m) == ref, m
+
+
+def test_level_matrix_needs_every_class():
+    # at N = 43, B(N) swaps the last two classes; without the last one,
+    # P I_3 lies in no known class
+    classes = classes_for(43)
+    assert collection_for(43).matrix(43)[2] == [0, 0, 0, 1]
+    dropped = ClassList(43, classes.order, classes.ideals[:3],
+                        classes.right_orders[:3], classes.weights[:3])
+    with pytest.raises(ConsistencyError, match="P I_3 lies in no known class"):
+        BrandtCollection(dropped, 1)

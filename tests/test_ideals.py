@@ -6,7 +6,7 @@ import pytest
 import oracles
 from brandtkit.ideals import (EnumerationError, LeftIdeal, enumerate_classes,
                               ideal_inverse, is_equivalent, p_neighbors,
-                              right_order, unit_weight)
+                              right_order, two_sided_ideal, unit_weight)
 from brandtkit.lattices import product_lattice
 from brandtkit.orders import maximal_order, reduced_discriminant
 from brandtkit.quatalg import construct_algebra
@@ -67,6 +67,20 @@ def test_ideal_inverse_and_product():
             inv = ideal_inverse(I.lattice)
             assert product_lattice(I.lattice, inv) == classes.order.lattice
             assert product_lattice(inv, I.lattice) == right_order(I).lattice
+
+
+@pytest.mark.parametrize(
+    "N", [p for p in oracles.primes_upto(139) if p >= 5] + [401])
+def test_two_sided_ideal(N):
+    classes = classes_for(N)
+    O = classes.order.lattice
+    P = two_sided_ideal(classes.order)
+    assert P.content() == N
+    assert product_lattice(O, P) == P
+    assert product_lattice(P, O) == P
+    assert product_lattice(P, P) == O.scaled(N)
+    for I in classes.ideals:
+        assert product_lattice(P, I.lattice).content() == N * I.norm()
 
 
 def test_p_neighbors_shape():

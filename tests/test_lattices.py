@@ -189,7 +189,28 @@ def test_counts_on_skew_bases():
             f = rng.randint(20, 90)
             rows[r] = [x + f * y for x, y in zip(rows[r], rows[s])]
         G = [[bilin4(a, b, ri, rj) for rj in rows] for ri in rows]
-        assert _count_by_value(G, lat.content_int(), 8) == want, digits
+        assert _count_by_value(_lll_gram(G), lat.content_int(), 8) == want, \
+            digits
+
+
+def test_lll_runs_once_per_lattice(monkeypatch):
+    import brandtkit.lattices as lattices
+
+    calls = []
+    lll = lattices._lll_gram
+
+    def counted(G):
+        calls.append(G)
+        return lll(G)
+
+    monkeypatch.setattr(lattices, "_lll_gram", counted)
+    lat = order_lattice(37)
+    small = dict(lat.counts_up_to(3))
+    big = lat.counts_up_to(9)
+    assert len(calls) == 1
+    assert {m: c for m, c in big.items() if m <= 3} == small
+    want = oracles.box_count(lat.gram_int(), lat.content_int(), 9)
+    assert all(big.get(m, 0) == want.get(m, 0) for m in range(1, 10))
 
 
 def test_extreme_translation_module_count():
