@@ -239,15 +239,6 @@ def _poly_gcd_q(f, g):
     return f
 
 
-def divides_exactly(g, f):
-    """True iff integer polynomial g divides integer polynomial f over Q
-    with an integer quotient."""
-    q, r = poly_divmod_exact(f, g)
-    if any(r):
-        return False
-    return all(c.denominator == 1 for c in q)
-
-
 # --- arithmetic mod a prime -------------------------------------------------
 
 def _pmod(f, p):

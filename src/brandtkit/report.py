@@ -13,18 +13,19 @@ The count rho of cusp forms with B(N)-eigenvalue -1 is exact as well:
 B(N) is 1 on the Eisenstein vector and +-1 on the cusp forms, so
 rho = (n - tr B(N))/2.  It is the probe's first certificate: when
 0 < rho < n - 1 the idempotents (1 +- B(N))/2 split the cuspidal Hecke
-algebra, which is then a product, and no charpoly is needed.  The
-expansion identities are checked once per level in O(M n^3).
+algebra, which is then a product, and no charpoly is needed.  At the
+other levels the verdict is exact too: "field" by irreducibility mod p
+of a squarefree kernel charpoly, "product" by a class difference whose
+orbit under the same operator is a proper subspace.  The expansion
+identities are checked once per level in O(M n^3).
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
-from .intmat import (charpoly, divides_exactly, exact_rank,
-                     is_irreducible_mod, poly_is_squarefree)
+from .intmat import charpoly, exact_rank, is_irreducible_mod, poly_is_squarefree
 from .quatalg import ConsistencyError, is_prime
-from .spectral import jacobi_eigensystem, sigma_level, sturm_bound, symmetrize
+from .spectral import sturm_bound
 
 SIGMA_TOL = 1e-6
 SERIES_TOL = 1e-6
@@ -47,13 +48,17 @@ def dim_theta_exact(coll, i):
 
 
 def full_span_check(coll):
-    """All n^2 theta series together span the full n-dimensional space."""
+    """All n^2 theta series together span the full n-dimensional space.
+
+    By weighted symmetry theta_ji = (w_i/w_j) theta_ij, so the n(n+1)/2
+    series with i <= j have the same span.
+    """
     M = coll.bound
     if M < sturm_bound(coll.level):
         raise ValueError(
             f"need at least {sturm_bound(coll.level)} coefficients, have {M}")
     rows = [[coll.matrix(m)[i][j] for m in range(1, M + 1)]
-            for i in range(coll.n) for j in range(coll.n)]
+            for i in range(coll.n) for j in range(i, coll.n)]
     rank = exact_rank(rows)
     return rank == coll.n, rank
 
@@ -176,43 +181,6 @@ def _combo_matrix(coll, primes, coeffs):
     return T
 
 
-def _numeric_roots(coll, T, eis_value):
-    """Eigenvalues of T on the kernel, via the symmetrized full matrix."""
-    vals, _ = jacobi_eigensystem(symmetrize(T, coll.weights))
-    vals = sorted(vals)
-    drop = min(range(len(vals)), key=lambda a: abs(vals[a] - eis_value))
-    return [v for a, v in enumerate(vals) if a != drop]
-
-
-def _product_certificate(f, roots, subset_cap=20000):
-    """Monic integer factor of f recovered from a subset of numeric roots.
-
-    Expands prod (x - root) over subsets in deterministic order (small
-    subsets first); a rounded coefficient vector only counts if it divides
-    f exactly over Z.
-    """
-    d = len(roots)
-    tried = 0
-    for size in range(1, d):
-        for subset in combinations(range(d), size):
-            tried += 1
-            if tried > subset_cap:
-                return None
-            poly = [1.0]
-            for a in subset:
-                root = roots[a]
-                poly = [0.0] + poly
-                for t in range(len(poly) - 1):
-                    poly[t] -= root * poly[t + 1]
-            coeffs = [round(c) for c in poly]
-            if max(abs(c - r) for c, r in zip(poly, coeffs)) > 1e-3:
-                continue
-            g = [int(c) for c in coeffs]
-            if divides_exactly(g, f):
-                return g
-    return None
-
-
 def hecke_field_probe(coll, seed=0):
     """Decide whether the cuspidal Hecke algebra spans a single field.
 
@@ -221,11 +189,14 @@ def hecke_field_probe(coll, seed=0):
     verdict is "field" by convention.  Otherwise "product" is certified
     first by rho = (n - tr B(N))/2: B(N) lies in the Hecke algebra (Pizer
     1980), so when 0 < rho < n - 1 the idempotents (1 +- B(N))/2 split
-    it into parts of degree n - 1 - rho and rho.  When rho is 0 or n - 1,
-    a "field" verdict is certified by irreducibility mod p of the exact
-    characteristic polynomial of a generic Hecke combination on the
-    augmentation kernel; "product" by an exact integer factorization
-    viewed off the numeric spectrum.
+    it into parts of degree n - 1 - rho and rho.  When rho is 0 or n - 1
+    the probe draws up to three random operators T = sum c_p B(p) until
+    the characteristic polynomial f of T on the augmentation kernel is
+    squarefree; Q[T] is then the whole cuspidal algebra, so the verdict
+    no longer depends on T.  "field" is certified by irreducibility of f
+    mod p; "product" by a class difference e_i - e_j whose T-orbit has
+    dimension r < n - 1, its minimal polynomial being an exact factor of
+    f of degree r.  Anything else is "inconclusive".
     """
     n = coll.n
     N = coll.level
@@ -237,29 +208,32 @@ def hecke_field_probe(coll, seed=0):
                            f"the kernel into degrees {n - 1 - rho} and {rho}")
     primes = [p for p in range(2, coll.bound + 1) if is_prime(p) and p != N][:4]
     rng = random.Random(seed)
-    last = "no squarefree combination found"
     for _ in range(3):
         coeffs = [rng.randrange(1, 10) for _ in primes]
         T = _combo_matrix(coll, primes, coeffs)
         f = charpoly(_restrict_to_kernel(T))
-        if not poly_is_squarefree(f):
-            continue
-        p = 2
-        tried = 0
-        while tried < 60:
-            if is_prime(p):
-                tried += 1
-                if is_irreducible_mod(f, p):
-                    return "field", f"charpoly irreducible mod {p}"
-            p += 1
-        eis_value = sum(c * sigma_level(q, N) for q, c in zip(primes, coeffs))
-        roots = _numeric_roots(coll, T, eis_value)
-        g = _product_certificate(f, roots)
-        if g is not None:
-            return "product", (f"charpoly has exact factor of degree "
-                               f"{len(g) - 1}")
-        last = "reducibility suspected but no exact factor recovered"
-    return "inconclusive", last
+        if poly_is_squarefree(f):
+            break
+    else:
+        return "inconclusive", "no squarefree combination found"
+    p = 2
+    tried = 0
+    while tried < 60:
+        if is_prime(p):
+            tried += 1
+            if is_irreducible_mod(f, p):
+                return "field", f"charpoly irreducible mod {p}"
+        p += 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            orbit = [[(a == i) - (a == j) for a in range(n)]]
+            for _ in range(n - 2):
+                orbit.append([sum(t * x for t, x in zip(row, orbit[-1]))
+                              for row in T])
+            r = exact_rank(orbit)
+            if r < n - 1:
+                return "product", f"charpoly has exact factor of degree {r}"
+    return "inconclusive", "every class difference generates the cusp space"
 
 
 class ThetaReport:

@@ -211,11 +211,50 @@ def test_probe_product_verdict_level_37():
 def test_probe_charpoly_path_level_71():
     # B(71) is +-1 on the whole cusp space, so rho gives no certificate and
     # the charpoly of a generic combination has to split (degrees 3 and 3)
+    # the same factor whichever squarefree combination the seed draws
     coll, _ = pipeline(71)
     assert exact_rho(coll.matrix(71)) in (0, coll.n - 1)
-    verdict, detail = hecke_field_probe(coll, seed=0)
-    assert verdict == "product"
-    assert detail == "charpoly has exact factor of degree 3"
+    for seed in range(5):
+        verdict, detail = hecke_field_probe(coll, seed=seed)
+        assert verdict == "product", seed
+        assert detail == "charpoly has exact factor of degree 3", seed
+
+
+class _StubCollection:
+    """Three classes at level 11 with B(11) = I (rho = 0) and one probe
+    prime, 2."""
+
+    level = 11
+    n = 3
+    bound = 2
+
+    def __init__(self, b2):
+        self._b2 = b2
+
+    def matrix(self, m):
+        return self._b2 if m == 2 else [[int(a == b) for b in range(3)]
+                                        for a in range(3)]
+
+
+def test_probe_inconclusive_without_squarefree_combination():
+    # every combination of a scalar B(2) has a repeated kernel eigenvalue
+    coll = _StubCollection([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
+    assert hecke_field_probe(coll, seed=0) == (
+        "inconclusive", "no squarefree combination found")
+
+
+def test_probe_inconclusive_when_every_difference_generates():
+    # column sums 3; kernel eigenvectors (1, 1, -2) at 0 and (1, -2, 1) at
+    # 3, so the kernel charpoly splits over Q but no e_i - e_j is an
+    # eigenvector and each one's orbit is the whole kernel
+    B2 = [[2, 0, 1], [-1, 3, 1], [2, 0, 1]]
+    assert [sum(col) for col in zip(*B2)] == [3, 3, 3]
+    for u, lam in (((1, 1, -2), 0), ((1, -2, 1), 3)):
+        assert [sum(a * b for a, b in zip(row, u)) for row in B2] == \
+            [lam * a for a in u]
+    coll = _StubCollection(B2)
+    assert hecke_field_probe(coll, seed=0) == (
+        "inconclusive", "every class difference generates the cusp space")
 
 
 def test_probe_product_verdict_level_401():
