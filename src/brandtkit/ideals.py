@@ -20,6 +20,7 @@ I_i modulo {+-1}, i.e. half the number of norm-1 vectors of R_i.
 
 from collections import deque
 from fractions import Fraction
+from itertools import product
 
 from .intmat import mat_inv, mat_mul
 from .lattices import QuatLattice, product_lattice
@@ -40,27 +41,24 @@ def _lmat(a, b, x):
 class LeftIdeal:
     """A left ideal of a fixed maximal order R, kept as a lattice."""
 
-    __slots__ = ("order", "lattice")
+    __slots__ = ("order", "lattice", "_inverse")
 
-    def __init__(self, order, lattice, check=False):
+    def __init__(self, order, lattice):
         self.order = order
         self.lattice = lattice
-        if check and not _left_stable(order, lattice):
-            raise ConsistencyError("lattice is not left-stable under the order")
+        self._inverse = None
 
     def norm(self):
         return self.lattice.content()
 
+    def inverse(self):
+        """The lattice I^-1, built once per ideal."""
+        if self._inverse is None:
+            self._inverse = ideal_inverse(self.lattice)
+        return self._inverse
+
     def __repr__(self):
         return f"LeftIdeal(norm={self.norm()}, {self.lattice!r})"
-
-
-def _left_stable(order, lattice):
-    try:
-        _left_action_mats(order, lattice)
-    except ConsistencyError:
-        return False
-    return True
 
 
 def _left_action_mats(order, lattice):
@@ -131,7 +129,7 @@ def two_sided_ideal(order):
 
 def is_equivalent(I, J):
     """Same left ideal class: the normalized norm form on J^-1 I represents 1."""
-    lat = product_lattice(ideal_inverse(J.lattice), I.lattice)
+    lat = product_lattice(J.inverse(), I.lattice)
     return lat.count_vectors(1) > 0
 
 
@@ -166,27 +164,18 @@ def _two_dim_subspaces(p):
         for c2 in range(c1 + 1, 4):
             free1 = [c for c in cols if c > c1 and c != c2]
             free2 = [c for c in cols if c > c2]
-            for vals1 in _tuples(p, len(free1)):
+            for vals1 in product(range(p), repeat=len(free1)):
                 w1 = [0, 0, 0, 0]
                 w1[c1] = 1
                 for c, v in zip(free1, vals1):
                     w1[c] = v
-                for vals2 in _tuples(p, len(free2)):
+                for vals2 in product(range(p), repeat=len(free2)):
                     w2 = [0, 0, 0, 0]
                     w2[c2] = 1
                     for c, v in zip(free2, vals2):
                         w2[c] = v
                     out.append((w1[:], w2, c1, c2))
     return out
-
-
-def _tuples(p, k):
-    if k == 0:
-        yield ()
-        return
-    for head in range(p):
-        for tail in _tuples(p, k - 1):
-            yield (head,) + tail
 
 
 def p_neighbors(ideal, p):
@@ -242,7 +231,6 @@ class ClassList:
         self.ideals = ideals
         self.right_orders = right_orders
         self.weights = weights
-        self._inverses = {}
         self._translations = {}
 
     @property
@@ -253,9 +241,7 @@ class ClassList:
         return sum(Fraction(1, w) for w in self.weights)
 
     def ideal_inverse(self, j):
-        if j not in self._inverses:
-            self._inverses[j] = ideal_inverse(self.ideals[j].lattice)
-        return self._inverses[j]
+        return self.ideals[j].inverse()
 
     def translation_module(self, i, j):
         """M_ij = I_j^-1 I_i, the lattice whose theta series feeds B(m)_ij."""

@@ -1,12 +1,21 @@
 """Orders in definite quaternion algebras, and certified maximal ones.
 
-`maximal_order` starts from the classical half-integral basis for the residue
-class of the level and then saturates: while the reduced discriminant still
-has an extra prime factor ell, it looks for an integral element of (1/ell)O
-whose ring closure with O is a strictly larger order.  The postcondition
-disc = N is always enforced, so a transcription slip in a seed basis turns
-into a loud failure (or gets repaired by saturation) instead of silently
-corrupting everything downstream.
+`maximal_order` writes down Pizer's maximal order for the residue class of
+the prime level (Pizer, "An algorithm for computing modular forms on
+Gamma_0(N)", J. Algebra 1980), in the algebra that `construct_algebra`
+picks for that class:
+
+    N = 2:        (-1, -1)   <1, i, j, (1 + i + j + k)/2>
+    N = 3 mod 4:  (-1, -N)   <(1 + j)/2, (i + k)/2, j, k>
+    N = 5 mod 8:  (-2, -N)   <(1 + j + k)/2, (i + 2j + k)/4, j, k>
+    N = 1 mod 8:  (-r, -N)   <(1 + i)/2, (j + k)/2, (c i + k)/r, k>,
+                             c^2 = -N mod r (Pizer's (-N, -r) basis with
+                             the roles of i and j exchanged)
+
+Nothing is searched for.  The Z-span is built as a `QuatOrder`, which checks
+that it contains 1 and is integral and closed under multiplication, and its
+reduced discriminant must equal N.  A slip in a basis is therefore a loud
+`ConstructionError`, never a silently wrong order downstream.
 """
 
 from fractions import Fraction
@@ -14,26 +23,24 @@ from math import isqrt
 
 from .intmat import mat_det
 from .lattices import QuatLattice
-from .quatalg import (ConsistencyError, ConstructionError, QuatElement,
-                      legendre, mul4, norm4)
+from .quatalg import ConsistencyError, ConstructionError, mul4
 
 
 class QuatOrder:
     """An order: a unital, multiplicatively closed full lattice."""
 
-    def __init__(self, lattice, check=True):
+    def __init__(self, lattice):
         self.alg = lattice.alg
         self.lattice = lattice
         self._disc = None
-        if check:
-            one = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-            if not lattice.contains(one):
-                raise ConsistencyError("order does not contain 1")
-            if not _is_mult_closed(lattice):
-                raise ConsistencyError("order basis is not multiplicatively closed")
-            for e in lattice.basis_elements():
-                if not e.is_integral():
-                    raise ConsistencyError("order basis is not integral")
+        one = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        if not lattice.contains(one):
+            raise ConsistencyError("order does not contain 1")
+        if not _is_mult_closed(lattice):
+            raise ConsistencyError("order basis is not multiplicatively closed")
+        for e in lattice.basis_elements():
+            if not e.is_integral():
+                raise ConsistencyError("order basis is not integral")
 
     def basis(self):
         return self.lattice.basis_elements()
@@ -82,117 +89,45 @@ def _is_mult_closed(lattice):
     return True
 
 
-def _ring_closure(alg, rows, den, den_cap, max_iter=8):
-    """Smallest multiplicatively closed lattice containing the generators,
-    or None if it does not stabilize under the denominator cap."""
-    lat = QuatLattice.from_rows(alg, [list(r) for r in rows], den)
-    a, b = alg.a, alg.b
-    for _ in range(max_iter):
-        if lat.den > den_cap:
-            return None
-        if _is_mult_closed(lat):
-            return lat
-        gens = [[x * lat.den for x in row] for row in lat.mat]
-        for x in lat.mat:
-            for y in lat.mat:
-                gens.append(list(mul4(a, b, x, y)))
-        nxt = QuatLattice.from_rows(alg, gens, lat.den * lat.den)
-        if nxt == lat:
-            return lat
-        lat = nxt
-    return None
-
-
-def _seed_elements(alg):
-    """Classical integral generators for a maximal order, by residue class."""
+def _pizer_basis(alg):
+    """Generators of Pizer's maximal order for the residue class of the level
+    (with 1, i, j, k thrown in; they lie in every one of these orders)."""
     N = alg.level
     one = alg.element(1)
     i, j, k = alg.gens()
     half = Fraction(1, 2)
-    seeds = [one, i, j, k]
+    gens = [one, i, j, k]
     if N == 2:
-        seeds.append((one + i + j + k) * half)
+        gens.append((one + i + j + k) * half)
     elif N % 4 == 3:
-        seeds.append((one + j) * half)
-        seeds.append((i + k) * half)
-    elif N % 8 == 5:
-        seeds.append((one + j + k) * half)
+        gens.append((one + j) * half)
+        gens.append((i + k) * half)
+    elif N % 8 == 5:  # algebra (-2, -N)
+        gens.append((one + j + k) * half)
+        gens.append((i + 2 * j + k) * Fraction(1, 4))
     else:  # N = 1 mod 8, algebra (-r, -N)
         r = -alg.a
         c = pow(-N % r, (r + 1) // 4, r)
         if (c * c + N) % r:
             raise ConstructionError(f"c^2 = -N mod {r} has no root")
-        seeds.append((one + i) * half)
-        seeds.append((j + k) * half)
-        seeds.append((alg.element(0, c, 0, 1)) * Fraction(1, r))
-    return seeds
+        gens.append((one + i) * half)
+        gens.append((j + k) * half)
+        gens.append((alg.element(0, c, 0, 1)) * Fraction(1, r))
+    return gens
 
 
 def maximal_order(alg):
-    """A maximal order of the algebra, certified by disc = level."""
+    """Pizer's maximal order of the algebra, certified by disc = level."""
     N = alg.level
     if N is None:
         raise ValueError("algebra has no level attached")
-    lat = QuatLattice.from_generators(alg, _seed_elements(alg))
-    start_disc = reduced_discriminant(lat)
-    if start_disc % N:
-        raise ConstructionError("seed order discriminant is not divisible by N")
-    den_cap = lat.den * (start_disc // N) * 4
-    closed = _ring_closure(alg, [list(r) for r in lat.mat], lat.den, den_cap)
-    if closed is None:
-        raise ConstructionError("seed generators do not close to an order")
-    lat = closed
-    for _ in range(12):
-        disc = reduced_discriminant(lat)
-        if disc == N:
-            return QuatOrder(lat)
-        f = disc // N
-        ell = _least_prime_factor(f)
-        lat = _saturate_at(alg, lat, ell, den_cap)
-        if lat is None:
-            raise ConstructionError(
-                f"could not saturate the order at {ell} (level {N})")
-    raise ConstructionError(f"order saturation did not terminate (level {N})")
-
-
-def _least_prime_factor(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def _saturate_at(alg, lat, ell, den_cap):
-    """Find a strictly larger order inside (1/ell) * lat, if one exists."""
-    disc = reduced_discriminant(lat)
-    den = lat.den * ell
-    best = None
-    for c in _nonzero_tuples(ell):
-        row = [sum(c[r] * lat.mat[r][col] for r in range(4)) for col in range(4)]
-        # integrality screen: trace and norm of row/den
-        if (2 * row[0]) % den:
-            continue
-        if norm4(alg.a, alg.b, row) % (den * den):
-            continue
-        gens = [[x * ell for x in r] for r in lat.mat] + [row]
-        cand = _ring_closure(alg, gens, den, den_cap)
-        if cand is None:
-            continue
-        if not all(e.is_integral() for e in cand.basis_elements()):
-            continue
-        d2 = reduced_discriminant(cand)
-        if d2 < disc and disc % d2 == 0:
-            best = cand
-            break
-    return best
-
-
-def _nonzero_tuples(ell):
-    for c0 in range(ell):
-        for c1 in range(ell):
-            for c2 in range(ell):
-                for c3 in range(ell):
-                    if c0 or c1 or c2 or c3:
-                        yield (c0, c1, c2, c3)
+    try:
+        order = QuatOrder(QuatLattice.from_generators(alg, _pizer_basis(alg)))
+    except ConsistencyError as exc:
+        raise ConstructionError(
+            f"basis for level {N} does not span an order: {exc}") from exc
+    disc = order.reduced_discriminant()
+    if disc != N:
+        raise ConstructionError(
+            f"order for level {N} has reduced discriminant {disc}, not {N}")
+    return order

@@ -109,13 +109,13 @@ def ramified_primes(a, b):
 class QuaternionAlgebra:
     """The rational quaternion algebra (a,b), definite, a < 0 > b."""
 
-    def __init__(self, a, b, level=None, check=True):
+    def __init__(self, a, b, level=None):
         if a >= 0 or b >= 0:
             raise ValueError("need a < 0 and b < 0 for a definite algebra")
         self.a = int(a)
         self.b = int(b)
         self.level = level
-        if check and level is not None:
+        if level is not None:
             ram = ramified_primes(a, b)
             if ram != [level] or hilbert_symbol(a, b, OO) != -1:
                 raise ConstructionError(
@@ -262,14 +262,11 @@ def construct_algebra(N):
         return QuaternionAlgebra(-1, -N, level=N)
     if N % 8 == 5:
         return QuaternionAlgebra(-2, -N, level=N)
-    # N = 1 mod 8: find the least prime r = 3 mod 4 with (-r,-N) ramified
-    # exactly at {N, oo}
+    # N = 1 mod 8: the least prime r = 3 mod 4 with (N|r) = -1 (Pizer's
+    # condition; then (-r,-N) ramifies exactly at {N, oo})
     r = 3
     while r < 10000:
-        if is_prime(r) and r % 4 == 3:
-            if (hilbert_symbol(-r, -N, r) == 1
-                    and hilbert_symbol(-r, -N, N) == -1
-                    and hilbert_symbol(-r, -N, 2) == 1):
-                return QuaternionAlgebra(-r, -N, level=N)
+        if is_prime(r) and legendre(N, r) == -1:
+            return QuaternionAlgebra(-r, -N, level=N)
         r += 4
     raise ConstructionError(f"no auxiliary prime found for N={N}")

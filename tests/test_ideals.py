@@ -4,12 +4,16 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from brandtkit import ideals as ideals_module
+from brandtkit import orders
+from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import (EnumerationError, LeftIdeal, enumerate_classes,
                               ideal_inverse, is_equivalent, p_neighbors,
                               right_order, two_sided_ideal, unit_weight)
 from brandtkit.lattices import product_lattice
 from brandtkit.orders import maximal_order, reduced_discriminant
-from brandtkit.quatalg import construct_algebra
+from brandtkit.quatalg import ConstructionError, construct_algebra
+from brandtkit.spectral import sturm_bound
 
 
 def classes_for(N):
@@ -17,9 +21,35 @@ def classes_for(N):
 
 
 def test_maximal_order_discriminant():
-    for N in oracles.primes_upto(100):
+    # every residue class of N, and 401, 601, 1009 among the larger levels
+    for N in oracles.primes_upto(1100):
         order = maximal_order(construct_algebra(N))
         assert order.reduced_discriminant() == N
+
+
+@pytest.mark.parametrize("N, basis", [
+    # Z<1, i, j, k, (1 + j + k)/2>: reduced discriminant 4N, not closed
+    (13, lambda alg: [alg.element(1), *alg.gens(), alg.element(1, 0, 1, 1) / 2]),
+    # the Lipschitz order Z<1, i, j, k>: an order of discriminant 4N
+    (11, lambda alg: [alg.element(1), *alg.gens()]),
+], ids=["unclosed-seed", "lipschitz-order"])
+def test_non_maximal_basis_is_refused(monkeypatch, N, basis):
+    monkeypatch.setattr(orders, "_pizer_basis", basis)
+    with pytest.raises(ConstructionError):
+        maximal_order(construct_algebra(N))
+
+
+def test_each_class_inverse_is_built_once(monkeypatch):
+    calls = []
+
+    def counted(lattice):
+        calls.append(lattice)
+        return ideal_inverse(lattice)
+
+    monkeypatch.setattr(ideals_module, "ideal_inverse", counted)
+    classes = classes_for(101)
+    BrandtCollection(classes, sturm_bound(101) + 2)
+    assert 0 < len(calls) <= classes.n
 
 
 def test_unit_weight_small_levels():
