@@ -20,10 +20,12 @@ structural_checks, the one battery of Brandt identities, takes {m: B(m)}:
 analyze runs it on a BrandtCollection, verify on a stored record.
 """
 
+import random
 from fractions import Fraction
+from math import lcm
 
 from .ideals import LeftIdeal, is_equivalent, two_sided_ideal
-from .intmat import identity, mat_mul
+from .intmat import identity, mat_mul, rank_mod
 from .lattices import product_lattice
 from .quatalg import ConsistencyError, is_prime
 
@@ -173,16 +175,46 @@ def check_column_sums(level, weights, bound, mats):
 
 
 def check_weighted_row_sums(level, weights, bound, mats):
-    """sum_j B(m)_ij / w_j = sigma(m) / w_i, the Eisenstein identity."""
+    """sum_j B(m)_ij / w_j = sigma(m) / w_i, the Eisenstein identity.
+
+    Checked in integers: with L = lcm(w), sum_j B(m)_ij (L/w_j) w_i must
+    equal sigma(m) L.
+    """
     n = len(weights)
+    L = lcm(*weights)
+    scaled = [L // w for w in weights]
     for m, B in sorted(mats.items()):
-        target = sigma_level(m, level)
+        target = sigma_level(m, level) * L
         for i in range(n):
-            s = sum(Fraction(B[i][j], weights[j]) for j in range(n))
-            if s != Fraction(target, weights[i]):
+            s = sum(B[i][j] * scaled[j] for j in range(n))
+            if s * weights[i] != target:
                 return False, (f"failed at m={m}, row {i + 1}: weighted "
-                               f"sum is {s}")
+                               f"sum is {Fraction(s, L)}")
     return True, "weighted row sums equal sigma(m)/w_i"
+
+
+# v is cyclic for T when [v, Tv, ..., T^(n-1) v] has full rank modulo this
+# prime; v is the same pseudo-random vector at every level
+KRYLOV_PRIME = 2 ** 61 - 1
+
+
+def _cyclic_operator(mats, primes, n):
+    """The first T_k = B(p_1) + 2 B(p_2) + ... + k B(p_k), k <= 3, for which
+    the fixed vector v is cyclic, or None."""
+    rng = random.Random(0)
+    v = [rng.randrange(KRYLOV_PRIME) for _ in range(n)]
+    T = [[0] * n for _ in range(n)]
+    for k, p in enumerate(primes[:3], start=1):
+        T = [[t + k * b for t, b in zip(Trow, Brow)]
+             for Trow, Brow in zip(T, mats[p])]
+        krylov = [v]
+        for _ in range(n - 1):
+            u = krylov[-1]
+            krylov.append([sum(a * b for a, b in zip(row, u)) % KRYLOV_PRIME
+                           for row in T])
+        if rank_mod(krylov, KRYLOV_PRIME) == n:
+            return T
+    return None
 
 
 def check_commutativity(level, weights, bound, mats):
@@ -196,12 +228,27 @@ def check_commutativity(level, weights, bound, mats):
     commutative algebra that the B(p) generate (Pizer 1980): a ledger on
     which this check, brandt-b1-identity, brandt-hecke-recursion and
     brandt-level-powers pass certifies that every stored pair commutes.
+
+    The B(p) commute pairwise as soon as each commutes with one
+    nonderogatory T: its centralizer is then Q[T], a commutative algebra.
+    The Brandt module is free of rank 1 over the Hecke algebra
+    (multiplicity one: Gross 1987, Emerton 2002), so a generic Hecke
+    operator has a cyclic vector.  With p_1 < p_2 < p_3 the first prime
+    indices, T_k = B(p_1) + 2 B(p_2) + ... + k B(p_k) is tried for
+    k = 1, 2, 3, and the first one for which a fixed pseudo-random v is
+    cyclic (its Krylov matrix has full rank mod a prime, so its
+    determinant is not 0) is used: 2 products per B(p) instead of one per
+    pair.  When no T_k has v cyclic, or some B(p) does not commute with T,
+    the pairwise loop decides and names the first failing pair.
     """
     primes = [m for m in sorted(mats) if is_prime(m)]
-    for x, p in enumerate(primes):
-        for r in primes[x + 1:]:
-            if mat_mul(mats[p], mats[r]) != mat_mul(mats[r], mats[p]):
-                return False, f"B({p}) and B({r}) do not commute"
+    T = _cyclic_operator(mats, primes, len(weights))
+    if T is None or any(mat_mul(mats[r], T) != mat_mul(T, mats[r])
+                        for r in primes):
+        for x, p in enumerate(primes):
+            for r in primes[x + 1:]:
+                if mat_mul(mats[p], mats[r]) != mat_mul(mats[r], mats[p]):
+                    return False, f"B({p}) and B({r}) do not commute"
     products = 0
     for m in sorted(mats)[1:]:  # skip B(1)
         p = next(p for p in primes if m % p == 0)

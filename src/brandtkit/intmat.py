@@ -7,7 +7,7 @@ asymptotics.
 """
 
 from fractions import Fraction
-from math import gcd
+from operator import mul
 
 
 def identity(n):
@@ -15,20 +15,8 @@ def identity(n):
 
 
 def mat_mul(A, B):
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0])
-    out = []
-    for i in range(rows):
-        Ai = A[i]
-        row = []
-        for j in range(cols):
-            s = 0
-            for k in range(inner):
-                s += Ai[k] * B[k][j]
-            row.append(s)
-        out.append(row)
-    return out
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def hnf(rows):
@@ -155,6 +143,32 @@ def exact_rank(rows):
         rank += 1
         row += 1
         if row == nr:
+            break
+    return rank
+
+
+def rank_mod(rows, p):
+    """Rank over F_p of an integer matrix, p prime, by Gaussian elimination.
+
+    Reduction mod p can only lose rank, so this is a lower bound for the
+    rank over Q; full rank mod p proves full rank over Q.
+    """
+    a = [[x % p for x in r] for r in rows]
+    nr = len(a)
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, nr) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        prow = a[rank] = [x * inv % p for x in a[rank]]
+        for r in range(rank + 1, nr):
+            f = a[r][col]
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], prow)]
+        rank += 1
+        if rank == nr:
             break
     return rank
 

@@ -10,8 +10,7 @@ import json
 from fractions import Fraction
 
 from .brandt import structural_checks
-from .intmat import exact_rank
-from .report import exact_rho
+from .report import exact_rho, theta_rank
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -160,8 +159,8 @@ def verify_record(record):
 
     results.extend(structural_checks(N, w, bound, brandt))
 
-    dims = [exact_rank([[brandt[m][i][j] for m in range(1, bound + 1)]
-                        for j in range(n)]) for i in range(n)]
+    series = [brandt[m] for m in range(1, bound + 1)]
+    dims = [theta_rank(series, n, i) for i in range(n)]
     add("theta-dims", dims == record["theta"]["dims"],
         f"recomputed dims {dims}")
 

@@ -31,20 +31,23 @@ SIGMA_TOL = 1e-6
 SERIES_TOL = 1e-6
 
 
+def theta_rank(mats, n, i):
+    """Rank over Q of the n x M integer matrix whose row j holds the
+    coefficients B(1)_ij .. B(M)_ij of theta_ij, mats = [B(1), .., B(M)]."""
+    return exact_rank([[B[i][j] for B in mats] for j in range(n)])
+
+
 def dim_theta_exact(coll, i):
     """Exact dimension of the span of row i's theta series.
 
-    Rank over Q of the n x M integer matrix whose row j holds the
-    coefficients B(1)_ij .. B(M)_ij of theta_ij; constant terms are
-    determined by the rest and carry no information.
+    The theta_rank of B(1) .. B(M); constant terms are determined by the
+    rest and carry no information.
     """
     M = coll.bound
     if M < sturm_bound(coll.level):
         raise ValueError(
             f"need at least {sturm_bound(coll.level)} coefficients, have {M}")
-    rows = [[coll.matrix(m)[i][j] for m in range(1, M + 1)]
-            for j in range(coll.n)]
-    return exact_rank(rows)
+    return theta_rank([coll.matrix(m) for m in range(1, M + 1)], coll.n, i)
 
 
 def full_span_check(coll):

@@ -1,6 +1,8 @@
 import pytest
 
+import brandtkit.brandt as brandt
 from brandtkit.analysis import analyze
+from brandtkit.intmat import mat_mul
 
 _cache = {}
 
@@ -19,6 +21,19 @@ def cached_analysis(N, **kwargs):
 @pytest.fixture(scope="session")
 def pipeline():
     return cached_analysis
+
+
+@pytest.fixture
+def mat_mul_calls(monkeypatch):
+    """A list that grows by one for each mat_mul made in brandtkit.brandt."""
+    calls = []
+
+    def counted(A, B):
+        calls.append(1)
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(brandt, "mat_mul", counted)
+    return calls
 
 
 def pytest_runtest_logreport(report):

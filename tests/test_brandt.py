@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from brandtkit.brandt import (BrandtCollection, check_commutativity,
-                              structural_checks)
+                              check_weighted_row_sums, structural_checks)
 from brandtkit.ideals import ClassList, enumerate_classes, ideal_inverse
 from brandtkit.intmat import mat_mul
 from brandtkit.lattices import product_lattice
@@ -198,6 +198,42 @@ def test_commutativity_certificate_detects_failures():
     mats[12] = [row[::-1] for row in mats[12]]
     ok, detail = check_commutativity(*args, mats)
     assert not ok and detail == "B(12) != B(4) B(3)"
+
+
+def diag(*entries):
+    return [[x if i == j else 0 for j, _ in enumerate(entries)]
+            for i, x in enumerate(entries)]
+
+
+def test_commutativity_falls_back_when_every_t_is_derogatory(mat_mul_calls):
+    # every T_k has the double eigenvalue of classes 1 and 2, so no vector
+    # is cyclic and the pairwise loop decides
+    mats = {1: diag(1, 1, 1), 2: diag(1, 1, 2), 3: diag(2, 2, 1),
+            5: diag(0, 0, 3), 6: diag(2, 2, 2), 7: diag(1, 1, 1)}
+    ok, detail = check_commutativity(7, [1, 1, 1], 6, mats)
+    assert ok and detail == ("4 prime-index matrices commute pairwise, "
+                             "1 products B(m) = B(q) B(m/q) verified")
+    assert len(mat_mul_calls) == 4 * 3 + 1
+
+
+def test_commutativity_names_the_failing_pair_after_the_certificate():
+    # T_1 = B(2) is scalar, so T_2 = B(2) + 2 B(3) is tried, and B(5) does
+    # not commute with it; the pairwise loop names the pair
+    mats = {1: diag(1, 1), 2: diag(3, 3), 3: [[0, 1], [1, 0]],
+            5: diag(1, 2)}
+    ok, detail = check_commutativity(5, [1, 1], 4, mats)
+    assert not ok and detail == "B(3) and B(5) do not commute"
+
+
+def test_weighted_row_sums_detail_is_the_rational_sum():
+    coll = collection_for(37, bound=4)
+    mats = stored_matrices(coll)
+    w = coll.weights
+    mats[2] = [row[:] for row in mats[2]]
+    mats[2][1][0] += 1
+    s = sum(Fraction(mats[2][1][j], w[j]) for j in range(coll.n))
+    ok, detail = check_weighted_row_sums(coll.level, w, coll.bound, mats)
+    assert not ok and detail == f"failed at m=2, row 2: weighted sum is {s}"
 
 
 @pytest.mark.parametrize("N", [37, 101, 139])

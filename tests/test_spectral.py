@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import sqrt
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import oracles
 from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import enumerate_classes
-from brandtkit.intmat import charpoly, exact_rank
+from brandtkit.intmat import charpoly, exact_rank, mat_mul, rank_mod
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
 from brandtkit.spectral import (RESIDUAL_TOL, augmentation,
@@ -74,6 +75,35 @@ def test_exact_rank_matches_rational_rank():
     assert exact_rank([[1, 0], [0, 1]]) == 2
     assert exact_rank([[1, 2], [2, 4]]) == 1
     assert exact_rank([[0, 0], [0, 0]]) == 0
+
+
+def test_rank_mod_matches_exact_rank():
+    rng = random.Random(13)
+    p = 2 ** 61 - 1
+    for _ in range(30):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 6)
+        A = [[rng.randint(-10, 10) for _ in range(cols)] for _ in range(rows)]
+        assert rank_mod(A, p) == exact_rank(A)
+    # reduction mod p only loses rank: a lower bound for the rank over Q
+    assert rank_mod([[1, 0], [0, 7]], 7) == 1
+    assert exact_rank([[1, 0], [0, 7]]) == 2
+    assert rank_mod([], 7) == 0
+
+
+def test_mat_mul_matches_triple_loop():
+    rng = random.Random(17)
+    for make in (int, lambda x: Fraction(x, 3)):
+        for _ in range(10):
+            r, k, c = (rng.randint(1, 5) for _ in range(3))
+            A = [[make(rng.randint(-9, 9)) for _ in range(k)] for _ in range(r)]
+            B = [[make(rng.randint(-9, 9)) for _ in range(c)] for _ in range(k)]
+            ref = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(c)]
+                   for i in range(r)]
+            got = mat_mul(A, B)
+            assert got == ref
+            assert [type(x) for row in got for x in row] == \
+                [type(x) for row in ref for x in row]
 
 
 def test_jacobi_reconstructs_symmetric_matrices():
