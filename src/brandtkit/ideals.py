@@ -11,8 +11,11 @@ Every ideal here is an invertible lattice, so inverses and right orders
 have closed forms: I^-1 = conj(I) / nrd(I) and O_R(I) = conj(I) I / nrd(I),
 where nrd(I) is the normalized content of the norm form on I (Voight,
 Quaternion Algebras, GTM 288, the chapter on invertible lattices).  The
-two-sided ideal P of norm N is closed form as well: P = N O^#, with O^#
-the dual of the order under the reduced trace form.
+two-sided ideal P of norm N is closed form as well: P = O pi for one
+element pi of reduced norm N that the order contains (j, or 1 + i at
+N = 2).  It equals N O^#, with O^# the dual of the order under the reduced
+trace form: P is the only two-sided ideal of norm N, so it is the different
+of O and conj(P) = P, and O^# = P^-1 = conj(P) / N.
 
 Etymology of the weights: w_i is the unit group of the right order R_i of
 I_i modulo {+-1}, i.e. half the number of norm-1 vectors of R_i.
@@ -22,20 +25,13 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from .intmat import mat_inv, mat_mul
 from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder
-from .quatalg import ConsistencyError, mul4
+from .quatalg import ConsistencyError, is_prime, mul4
 
 
 class EnumerationError(RuntimeError):
     """The class walk could not be completed (graph closed early at all p)."""
-
-
-def _lmat(a, b, x):
-    """Matrix of b -> x*b on coordinate rows: row(x*b) = beta . _lmat(x)."""
-    basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    return [list(mul4(a, b, x, e)) for e in basis]
 
 
 class LeftIdeal:
@@ -64,23 +60,19 @@ class LeftIdeal:
 def _left_action_mats(order, lattice):
     """Integer matrices of left multiplication by the order basis on ideal
     coordinates; their integrality is exactly left-stability."""
-    alg = lattice.alg
-    a, b = alg.a, alg.b
-    inv = lattice.inv_mat()
+    a, b = lattice.alg.a, lattice.alg.b
+    oden = order.lattice.den
     mats = []
     for r in order.lattice.mat:
-        lm = _lmat(a, b, r)
-        m = mat_mul([list(x) for x in lattice.mat], lm)
-        m = mat_mul(m, inv)
         out = []
-        for row in m:
-            introw = []
-            for x in row:
-                q = Fraction(x, order.lattice.den)
-                if q.denominator != 1:
-                    raise ConsistencyError("lattice is not left-stable")
-                introw.append(int(q))
-            out.append(introw)
+        for y in lattice.mat:
+            # (r / oden) (y / den) = (r y / oden) / den
+            prod = mul4(a, b, r, y)
+            coords = (None if any(x % oden for x in prod)
+                      else lattice.coordinates([x // oden for x in prod]))
+            if coords is None:
+                raise ConsistencyError("lattice is not left-stable")
+            out.append(coords)
         mats.append(out)
     return mats
 
@@ -106,24 +98,27 @@ def ideal_inverse(lattice):
 def two_sided_ideal(order):
     """The two-sided ideal P of reduced norm N of a maximal order of level N.
 
-    P = N O^#, where O^# is the dual of O under the reduced trace form
-    trd(x conj(y)) = 2 <x, y>: on the basis of O, P has the coordinate rows
-    N T^-1, T the Gram matrix of that form.  Equivalently P is N O plus the
-    lift of the 2-dimensional radical of T mod N; P^2 = N O, and [I] ->
-    [P I] is the permutation B(N) of the left ideal classes (Pizer, "An
-    algorithm for computing modular forms on Gamma_0(N)", J. Algebra 1980).
+    P = O pi with pi = j, of reduced norm N in every algebra (a, -N) that
+    `construct_algebra` returns for odd N, and pi = 1 + i in (-1, -1) at
+    N = 2; each Pizer basis contains pi.  O is maximal and B ramifies only
+    at N, so O pi is the unique two-sided ideal of norm N: at N, O is the
+    valuation ring of a division algebra, with one maximal ideal, and at
+    every other p it is M_2(Z_p), whose two-sided ideals are p^k O.  P is
+    therefore the different of O, and it equals N O^#, O^# the dual of O
+    under the reduced trace form.  P^2 = N O, and [I] -> [P I] is the
+    permutation B(N) of the left ideal classes (Pizer, "An algorithm for
+    computing modular forms on Gamma_0(N)", J. Algebra 1980).
     """
     lat = order.lattice
-    N = lat.alg.level
-    scale = Fraction(N * lat.den * lat.den, 2)  # N T^-1 = scale * Gram^-1
-    coeffs = [[scale * x for x in row] for row in mat_inv(lat.gram_int())]
-    if any(x.denominator != 1 for row in coeffs for x in row):
-        raise ConsistencyError("N times the dual of the order is not integral")
-    rows = mat_mul([[int(x) for x in row] for row in coeffs],
-                   [list(r) for r in lat.mat])
-    P = QuatLattice.from_rows(lat.alg, rows, lat.den)
+    alg = lat.alg
+    N = alg.level
+    pi = (1, 1, 0, 0) if N == 2 else (0, 0, 1, 0)
+    P = QuatLattice.from_rows(
+        alg, [mul4(alg.a, alg.b, r, pi) for r in lat.mat], lat.den)
     if P.content() != N:
         raise ConsistencyError(f"two-sided ideal has norm {P.content()}, not {N}")
+    if product_lattice(P, lat) != P:
+        raise ConsistencyError("O pi is not a right ideal of the order")
     return P
 
 
@@ -240,15 +235,12 @@ class ClassList:
     def mass(self):
         return sum(Fraction(1, w) for w in self.weights)
 
-    def ideal_inverse(self, j):
-        return self.ideals[j].inverse()
-
     def translation_module(self, i, j):
         """M_ij = I_j^-1 I_i, the lattice whose theta series feeds B(m)_ij."""
         key = (i, j)
         if key not in self._translations:
             self._translations[key] = product_lattice(
-                self.ideal_inverse(j), self.ideals[i].lattice)
+                self.ideals[j].inverse(), self.ideals[i].lattice)
         return self._translations[key]
 
 
@@ -262,15 +254,11 @@ def enumerate_classes(order, level=None, start_p=2, max_p=97):
     right_orders = [order]
     weights = [unit_weight(order)]
     mass = Fraction(1, weights[0])
-    p = start_p
-    while p == level:
-        p = _next_prime(p)
+    p = _next_prime(start_p - 1, level)
     frontier = deque(ideals)
     while mass < target:
         if not frontier:
-            p = _next_prime(p)
-            while p == level:
-                p = _next_prime(p)
+            p = _next_prime(p, level)
             if p > max_p:
                 raise EnumerationError(
                     f"class walk did not close below p={max_p}")
@@ -307,9 +295,9 @@ def _check_class_invariants(classes, target):
             f"weight product {prod} != mass denominator {target.denominator}")
 
 
-def _next_prime(p):
-    from .quatalg import is_prime
+def _next_prime(p, level):
+    """The least prime above p other than the level."""
     q = p + 1
-    while not is_prime(q):
+    while q == level or not is_prime(q):
         q += 1
     return q

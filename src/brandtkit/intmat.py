@@ -1,9 +1,9 @@
 """Exact linear algebra on small matrices.
 
-Everything here works on plain lists of row lists.  Integer routines stay
-fraction-free where that matters (HNF, Bareiss rank); the rational helpers
-use Fraction.  Matrices are tiny (4x4 up to ~20x40), so clarity wins over
-asymptotics.
+Everything here works on plain lists of row lists.  The matrix routines
+stay in integers (HNF, Bareiss determinant and rank, rank mod p); rationals
+remain only in `charpoly` and the polynomial helpers over Q.  Matrices are
+tiny (4x4 up to ~20x40), so clarity wins over asymptotics.
 """
 
 from fractions import Fraction
@@ -65,52 +65,27 @@ def hnf(rows):
     return rows[:pr]
 
 
-def mat_inv(rows):
-    """Inverse of a square matrix, exact over Fraction."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def mat_det(rows):
-    """Determinant, exact over Fraction."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
+    """Determinant of a square integer matrix, by fraction-free Bareiss
+    elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pv = a[k][k]
+        for r in range(k + 1, n):
+            ark = a[r][k]
+            for c in range(k + 1, n):
+                # Sylvester identity: this division is exact
+                a[r][c] = (a[r][c] * pv - ark * a[k][c]) // prev
+        prev = pv
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def exact_rank(rows):

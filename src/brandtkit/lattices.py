@@ -3,7 +3,10 @@
 A lattice is stored as a primitive pair (mat, den): four HNF basis rows of
 integers over the coordinate basis 1, i, j, k, divided by a common positive
 denominator.  That representation is canonical, so lattice equality is just
-tuple equality.
+tuple equality.  The HNF rows are upper triangular, so membership is one
+back-substitution in integers: the pivots, taken column by column, fix the
+coordinates on the basis, and the element lies in the lattice exactly when
+every pivot division is exact.
 
 Vector counting follows the usual hybrid.  One L^2-style LLL pass decides
 its steps in floats and updates the Gram matrix by exact integer operations;
@@ -16,14 +19,14 @@ requested so far; the LLL pass runs once per lattice.
 from fractions import Fraction
 from math import ceil, floor, gcd, sqrt
 
-from .intmat import hnf, mat_inv
+from .intmat import hnf
 from .quatalg import ConsistencyError, QuatElement, bilin4, mul4, norm4
 
 
 class QuatLattice:
     """Full lattice (rank 4) in a definite quaternion algebra."""
 
-    __slots__ = ("alg", "mat", "den", "_inv", "_content", "_gram_int",
+    __slots__ = ("alg", "mat", "den", "_content", "_gram_int",
                  "_reduced", "_count_bound", "_counts")
 
     def __init__(self, alg, mat, den):
@@ -38,10 +41,13 @@ class QuatLattice:
         if g > 1:
             den //= g
             mat = [[x // g for x in row] for row in mat]
+        if len(mat) != 4 or not all(row[r] and not any(row[:r])
+                                    for r, row in enumerate(mat)):
+            raise ValueError("basis rows must be upper triangular with "
+                             "nonzero pivots; from_rows puts them in HNF")
         self.alg = alg
         self.mat = tuple(tuple(row) for row in mat)
         self.den = den
-        self._inv = None
         self._content = None
         self._gram_int = None
         self._reduced = None
@@ -74,11 +80,6 @@ class QuatLattice:
         return [QuatElement(self.alg, tuple(Fraction(x, self.den) for x in row))
                 for row in self.mat]
 
-    def inv_mat(self):
-        if self._inv is None:
-            self._inv = mat_inv([list(r) for r in self.mat])
-        return self._inv
-
     def gram_int(self):
         """Integer Gram matrix of the norm form on the rows of mat
         (denominator den^2 is carried separately)."""
@@ -87,10 +88,6 @@ class QuatLattice:
             self._gram_int = [[bilin4(a, b, ri, rj) for rj in self.mat]
                               for ri in self.mat]
         return self._gram_int
-
-    def gram(self):
-        d2 = self.den * self.den
-        return [[Fraction(x, d2) for x in row] for row in self.gram_int()]
 
     def content_int(self):
         """gcd of the integer norm form values on the row lattice."""
@@ -120,14 +117,29 @@ class QuatLattice:
             raise ConsistencyError("norm value not divisible by the content")
         return v // c
 
+    def coordinates(self, row):
+        """The integers c with sum_r c[r] * mat[r] = row, for an integer
+        coordinate row over this lattice's den; None if row/den is not in
+        the lattice.  mat is upper triangular (an HNF of full rank), so
+        column r involves rows 0..r only and fixes c[r] exactly."""
+        rest = list(row)
+        coeffs = []
+        for r, brow in enumerate(self.mat):
+            c, rem = divmod(rest[r], brow[r])
+            if rem:
+                return None
+            if c:
+                for s in range(r + 1, 4):
+                    rest[s] -= c * brow[s]
+            coeffs.append(c)
+        return coeffs
+
     def contains(self, elem):
         coords = elem.coords if isinstance(elem, QuatElement) else elem
-        inv = self.inv_mat()
-        for col in range(4):
-            s = sum(Fraction(coords[k]) * inv[k][col] for k in range(4))
-            if (s * self.den).denominator != 1:
-                return False
-        return True
+        row = [Fraction(x) * self.den for x in coords]
+        if any(x.denominator != 1 for x in row):
+            return False
+        return self.coordinates([int(x) for x in row]) is not None
 
     def scaled(self, c):
         c = Fraction(c)

@@ -13,17 +13,18 @@ picks for that class:
                              the roles of i and j exchanged)
 
 Nothing is searched for.  The Z-span is built as a `QuatOrder`, which checks
-that it contains 1 and is integral and closed under multiplication, and its
-reduced discriminant must equal N.  A slip in a basis is therefore a loud
-`ConstructionError`, never a silently wrong order downstream.
+that it contains 1 and is integral and closed under multiplication (L L = L,
+since 1 in L gives L inside L L), and its reduced discriminant must equal N.
+A slip in a basis is therefore a loud `ConstructionError`, never a silently
+wrong order downstream.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from .intmat import mat_det
-from .lattices import QuatLattice
-from .quatalg import ConsistencyError, ConstructionError, mul4
+from .lattices import QuatLattice, product_lattice
+from .quatalg import ConsistencyError, ConstructionError
 
 
 class QuatOrder:
@@ -36,7 +37,7 @@ class QuatOrder:
         one = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
         if not lattice.contains(one):
             raise ConsistencyError("order does not contain 1")
-        if not _is_mult_closed(lattice):
+        if product_lattice(lattice, lattice) != lattice:
             raise ConsistencyError("order basis is not multiplicatively closed")
         for e in lattice.basis_elements():
             if not e.is_integral():
@@ -66,8 +67,8 @@ def reduced_discriminant(lattice):
     For an order this is a positive integer; the square root must be exact or
     the input was not what it claimed to be.
     """
-    d = mat_det(lattice.gram())  # norm-form Gram; trace form is twice it
-    t = abs(d) * 16
+    # norm-form Gram is gram_int / den^2; the trace form is twice it
+    t = Fraction(abs(mat_det(lattice.gram_int())) * 16, lattice.den ** 8)
     num, den = t.numerator, t.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
@@ -76,17 +77,6 @@ def reduced_discriminant(lattice):
     if val.denominator != 1:
         raise ConsistencyError("reduced discriminant is not an integer")
     return int(val)
-
-
-def _is_mult_closed(lattice):
-    a, b = lattice.alg.a, lattice.alg.b
-    d2 = lattice.den * lattice.den
-    for x in lattice.mat:
-        for y in lattice.mat:
-            p = mul4(a, b, x, y)
-            if not lattice.contains(tuple(Fraction(c, d2) for c in p)):
-                return False
-    return True
 
 
 def _pizer_basis(alg):

@@ -9,6 +9,8 @@ point-count scans instead of character sums.
 
 from fractions import Fraction
 
+from brandtkit.lattices import QuatLattice
+
 
 def primes_upto(bound):
     sieve = bytearray([1]) * (bound + 1)
@@ -137,9 +139,9 @@ def box_count(gram, cint, bound):
     m -> #{u != 0 : u gram u^T = m * cint} for 1 <= m <= bound.
     """
     n = len(gram)
-    inv = _fraction_inverse(gram)
+    inv = rational_inverse(gram)
     budget = bound * cint
-    limits = [int((budget * inv[i][i]) ** 0.5) + 1 for i in range(n)]
+    limits = [int(float(budget * inv[i][i]) ** 0.5) + 1 for i in range(n)]
     counts = {}
 
     def q(u):
@@ -162,7 +164,8 @@ def box_count(gram, cint, bound):
     return counts
 
 
-def _fraction_inverse(rows):
+def rational_inverse(rows):
+    """Inverse over Q by Gauss-Jordan elimination on Fractions."""
     n = len(rows)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
                                        for j in range(n)]
@@ -176,7 +179,30 @@ def _fraction_inverse(rows):
             if r != c and a[r][c] != 0:
                 f = a[r][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [[float(a[i][n + j]) for j in range(n)] for i in range(n)]
+    return [row[n:] for row in a]
+
+
+def contains_by_inverse(lattice, coords):
+    """Is the rational point coords in the lattice?  Its coordinates on the
+    basis mat / den are coords * den * mat^-1, which must be integers."""
+    inv = rational_inverse(lattice.mat)
+    return all(sum(Fraction(coords[k]) * lattice.den * inv[k][c]
+                   for k in range(4)).denominator == 1 for c in range(4))
+
+
+def two_sided_ideal_by_dual(order):
+    """P = N O^#, O^# the dual of the order under the reduced trace form
+    trd(x conj(y)) = 2 <x, y>: on the basis of O, P has the coordinate rows
+    N T^-1, T the Gram matrix of that form, which must be integral."""
+    lat = order.lattice
+    N = lat.alg.level
+    scale = Fraction(N * lat.den * lat.den, 2)  # N T^-1 = scale * Gram^-1
+    coeffs = [[scale * x for x in row]
+              for row in rational_inverse(lat.gram_int())]
+    assert all(x.denominator == 1 for row in coeffs for x in row)
+    rows = [[sum(int(coeffs[r][t]) * lat.mat[t][c] for t in range(4))
+             for c in range(4)] for r in range(4)]
+    return QuatLattice.from_rows(lat.alg, rows, lat.den)
 
 
 class BruteQuadField:

@@ -10,9 +10,10 @@ from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import (EnumerationError, LeftIdeal, enumerate_classes,
                               ideal_inverse, is_equivalent, p_neighbors,
                               right_order, two_sided_ideal, unit_weight)
-from brandtkit.lattices import product_lattice
-from brandtkit.orders import maximal_order, reduced_discriminant
-from brandtkit.quatalg import ConstructionError, construct_algebra
+from brandtkit.lattices import QuatLattice, product_lattice
+from brandtkit.orders import QuatOrder, maximal_order, reduced_discriminant
+from brandtkit.quatalg import (ConsistencyError, ConstructionError,
+                               construct_algebra)
 from brandtkit.spectral import sturm_bound
 
 
@@ -37,6 +38,32 @@ def test_non_maximal_basis_is_refused(monkeypatch, N, basis):
     monkeypatch.setattr(orders, "_pizer_basis", basis)
     with pytest.raises(ConstructionError):
         maximal_order(construct_algebra(N))
+
+
+@pytest.mark.parametrize("N, lattice, message", [
+    (11, lambda O: O.lattice.scaled(2), "order does not contain 1"),
+    (13, lambda O: QuatLattice.from_generators(O.alg, [
+        O.alg.element(1), *O.alg.gens(), O.alg.element(1, 0, 1, 1) / 2]),
+     "order basis is not multiplicatively closed"),
+], ids=["twice-the-order", "unclosed-seed"])
+def test_order_checks_refuse(N, lattice, message):
+    order = maximal_order(construct_algebra(N))
+    with pytest.raises(ConsistencyError, match=message):
+        QuatOrder(lattice(order))
+
+
+@pytest.mark.parametrize("rows", [
+    # Lipschitz lattice Z<1, i, j, k>: (1 + j)/2 * 1 has odd coordinates
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    # 2 Z<1, i, j, k>: every product is even, but (1 + j)/2 * 2 = 1 + j
+    # is not in it
+    [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+], ids=["lipschitz", "twice-lipschitz"])
+def test_p_neighbors_refuse_unstable_lattice(rows):
+    order = maximal_order(construct_algebra(11))
+    lat = QuatLattice.from_rows(order.alg, rows)
+    with pytest.raises(ConsistencyError, match="lattice is not left-stable"):
+        p_neighbors(LeftIdeal(order, lat), 3)
 
 
 def test_each_class_inverse_is_built_once(monkeypatch):
@@ -90,7 +117,7 @@ def test_ideal_inverse_and_product():
         classes, ideals = ideals_with_neighbours(N)
         for j in range(classes.n):
             I = classes.ideals[j].lattice
-            inv = classes.ideal_inverse(j)
+            inv = classes.ideals[j].inverse()
             assert inv.content() * I.content() == \
                 product_lattice(I, inv).content()
         for I in ideals:
@@ -111,6 +138,12 @@ def test_two_sided_ideal(N):
     assert product_lattice(P, P) == O.scaled(N)
     for I in classes.ideals:
         assert product_lattice(P, I.lattice).content() == N * I.norm()
+
+
+def test_two_sided_ideal_is_n_times_dual():
+    for N in oracles.primes_upto(1100):
+        order = maximal_order(construct_algebra(N))
+        assert two_sided_ideal(order) == oracles.two_sided_ideal_by_dual(order)
 
 
 def test_p_neighbors_shape():

@@ -86,11 +86,34 @@ def test_gram_positive_definite():
     rng = random.Random(12)
     for N in (2, 11, 37):
         lat = order_lattice(N)
-        G = lat.gram()
+        G = lat.gram_int()
         for _ in range(25):
             u = [rng.randint(-3, 3) for _ in range(4)]
             q = sum(u[r] * G[r][c] * u[c] for r in range(4) for c in range(4))
             assert q > 0 or all(x == 0 for x in u)
+
+
+def test_contains_matches_inverse_reference():
+    rng = random.Random(14)
+    verdicts = []
+    for N in (11, 37):
+        for I in enumerate_classes(maximal_order(construct_algebra(N))).ideals:
+            lat = I.lattice
+            for _ in range(80):
+                u = [rng.randint(-5, 5) for _ in range(4)]
+                row = [sum(u[r] * lat.mat[r][c] for r in range(4))
+                       for c in range(4)]
+                assert lat.coordinates(row) == u
+                coords = [Fraction(x, lat.den) for x in row]
+                if rng.random() < 0.7:  # shift off the member, often out
+                    coords = [x + Fraction(rng.randint(-2, 2),
+                                           rng.choice((1, 2, 3, lat.den)))
+                              for x in coords]
+                want = oracles.contains_by_inverse(lat, coords)
+                assert lat.contains(coords) == want
+                assert lat.contains(I.order.alg.element(*coords)) == want
+                verdicts.append(want)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 def test_canonical_form_identifies_equal_lattices():
@@ -121,6 +144,10 @@ def test_degenerate_rows_rejected():
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1]]
     with pytest.raises((ConsistencyError, AssertionError, ValueError)):
         QuatLattice.from_rows(alg, rows)
+    # membership back-substitutes on the rows, so they must be triangular
+    swapped = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="upper triangular"):
+        QuatLattice(alg, swapped, 1)
 
 
 def test_product_lattice_of_order_is_order():

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import enumerate_classes
-from brandtkit.intmat import charpoly, exact_rank, mat_mul, rank_mod
+from brandtkit.intmat import charpoly, exact_rank, mat_det, mat_mul, rank_mod
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
 from brandtkit.spectral import (RESIDUAL_TOL, augmentation,
@@ -75,6 +75,22 @@ def test_exact_rank_matches_rational_rank():
     assert exact_rank([[1, 0], [0, 1]]) == 2
     assert exact_rank([[1, 2], [2, 4]]) == 1
     assert exact_rank([[0, 0], [0, 0]]) == 0
+
+
+def test_mat_det_matches_rational_det():
+    rng = random.Random(19)
+    for n in range(7):
+        for _ in range(12):
+            A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.5:  # zero pivot: rows must swap
+                A[0][0] = 0
+            if n > 1 and rng.random() < 0.3:  # singular: a repeated row
+                A[-1] = A[0][:]
+            assert mat_det(A) == oracles.rational_det(A)
+    assert mat_det([[0, 1], [1, 0]]) == -1
+    assert mat_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert mat_det([[1, 2], [2, 4]]) == 0
+    assert mat_det([]) == 1
 
 
 def test_rank_mod_matches_exact_rank():
