@@ -9,9 +9,10 @@ normalized norm form, so only the n(n+1)/2 modules with i <= j are counted,
 and only up to the coefficient bound M.
 
 B(N) is read off the two-sided ideal P of norm N instead: B(N)_ij = 1
-exactly when P I_i lies in the class of I_j (Pizer 1980), found with one
-equivalence test per candidate class.  When N <= M it comes from the counts
-like every other B(m).
+exactly when P I_i lies in the class of I_j (Pizer 1980).  ClassList.find
+looks the class up, with the exact equivalence test run only against the
+classes that share the theta-prefix key of P I_i.  When N <= M it comes
+from the counts like every other B(m).
 
 theta_ij(q) = 1/(2 w_i) + sum_m B(m)_ij q^m, and column j of the B(m) family
 collects the coefficients of the n theta series attached to I_j.
@@ -24,7 +25,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .ideals import LeftIdeal, is_equivalent, two_sided_ideal
+from .ideals import LeftIdeal, two_sided_ideal
 from .intmat import identity, mat_mul, rank_mod
 from .lattices import product_lattice
 from .quatalg import ConsistencyError, is_prime
@@ -93,9 +94,8 @@ class BrandtCollection:
         P = two_sided_ideal(classes.order)
         out = []
         for i, I in enumerate(classes.ideals):
-            PI = LeftIdeal(classes.order, product_lattice(P, I.lattice))
-            j = next((j for j, J in enumerate(classes.ideals)
-                      if is_equivalent(PI, J)), None)
+            j = classes.find(
+                LeftIdeal(classes.order, product_lattice(P, I.lattice)))
             if j is None:
                 raise ConsistencyError(f"P I_{i + 1} lies in no known class")
             out.append([int(k == j) for k in range(self.n)])

@@ -7,9 +7,12 @@ produce byte-identical files apart from the generated_at line.
 """
 
 import json
+import re
 from fractions import Fraction
+from itertools import chain
 
 from .brandt import structural_checks
+from .quatalg import is_prime
 from .report import exact_rho, theta_rank
 
 SCHEMA_VERSION = 1
@@ -97,11 +100,84 @@ VERIFIED_FIELDS = ("level", "class_number", "weights", "mass", "coeff_bound",
                    "theta.rho", "spectral.tn_signs", "checks")
 
 
+# "p/q" with q != 0, as frac_str writes it
+_FRAC = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
+
+
+def _is_int(x, least=None):
+    # bool is an int subclass, but true is not a number in a record
+    return type(x) is int and (least is None or x >= least)
+
+
+def _is_frac(x):
+    return isinstance(x, str) and _FRAC.fullmatch(x) is not None
+
+
+def _is_list(x, n, entry):
+    return isinstance(x, list) and len(x) == n and all(map(entry, x))
+
+
+def _is_matrices(mats, n, kind):
+    """Each of mats is an n x n list of lists with entries of type kind.
+    Each test is one pass in C: the 36 stored records hold about 10^5
+    matrix entries."""
+    if set(map(type, mats)) != {list} or set(map(len, mats)) != {n}:
+        return False
+    rows = list(chain.from_iterable(mats))
+    return (set(map(type, rows)) == {list} and set(map(len, rows)) == {n}
+            and set(map(type, chain.from_iterable(rows))) == {kind})
+
+
+def _check_values(record):
+    """ValueError on the first field of VERIFIED_FIELDS whose value
+    verify_record could not use."""
+    n = record["class_number"]
+    if not _is_int(n, 1):
+        raise ValueError("class_number in the record is not a positive integer")
+    theta, brandt = record["theta"], record["brandt"]
+    fields = [
+        ("level", _is_int(record["level"]) and is_prime(record["level"]),
+         "a prime"),
+        ("coeff_bound", _is_int(record["coeff_bound"], 1),
+         "a positive integer"),
+        ("weights", _is_list(record["weights"], n, lambda w: _is_int(w, 1)),
+         f"a list of {n} positive integers"),
+        ("mass", _is_frac(record["mass"]), 'a fraction "p/q"'),
+        ("b0", _is_matrices([record["b0"]], n, str)
+         and all(map(_FRAC.fullmatch, chain.from_iterable(record["b0"]))),
+         f'a {n}x{n} matrix of fractions "p/q"'),
+        ("brandt", isinstance(brandt, dict)
+         and _is_matrices(brandt.values(), n, int),
+         f"a map of {n}x{n} integer matrices"),
+        ("theta.dims", _is_list(theta["dims"], n, _is_int),
+         f"a list of {n} integers"),
+        ("theta.sigma_sets", _is_list(
+            theta["sigma_sets"], n,
+            lambda s: isinstance(s, list) and all(map(_is_int, s))),
+         f"a list of {n} integer lists"),
+        ("theta.rho", _is_int(theta["rho"]), "an integer"),
+        ("spectral.tn_signs", _is_list(record["spectral"]["tn_signs"], n,
+                                       lambda s: s is None or _is_int(s)),
+         f"a list of {n} integers or nulls"),
+        ("checks", isinstance(record["checks"], list) and all(
+            isinstance(c, list) and len(c) == 3 and isinstance(c[0], str)
+            and type(c[1]) is bool and isinstance(c[2], str)
+            for c in record["checks"]),
+         "a list of (name, bool, detail) triples"),
+    ]
+    for field, ok, want in fields:
+        if not ok:
+            raise ValueError(f"{field} in the record is not {want}")
+
+
 def load_record(path):
     """The record at path; MigrationError on another schema, ValueError
-    when a field that verify_record reads is missing or misshapen."""
+    when a field that verify_record reads is missing, misshapen or holds
+    a value of the wrong type."""
     with open(path) as fh:
         record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError("record is not a JSON object")
     if record.get("schema_version") != SCHEMA_VERSION:
         raise MigrationError(
             f"record has schema {record.get('schema_version')!r}, "
@@ -112,19 +188,17 @@ def load_record(path):
             if not isinstance(value, dict) or key not in value:
                 raise ValueError(f"record lacks the field {field!r}")
             value = value[key]
-    n = record["class_number"]
-    want = {*range(1, record["coeff_bound"] + 1), record["level"]}
+    _check_values(record)
+    bound = record["coeff_bound"]
+    if bound > len(record["brandt"]):
+        raise ValueError(f"record has {len(record['brandt'])} Brandt "
+                         f"matrices for coeff_bound {bound}")
+    want = {*range(1, bound + 1), record["level"]}
     stored = {int(m) for m in record["brandt"]}
     if stored != want:
         m = min(stored ^ want)
         raise ValueError(f"record {'lacks' if m in want else 'has an extra'}"
                          f" Brandt matrix B({m})")
-    if len(record["weights"]) != n:
-        raise ValueError(f"record has {len(record['weights'])} weights "
-                         f"for {n} classes")
-    for m, B in [("0", record["b0"]), *record["brandt"].items()]:
-        if len(B) != n or any(len(row) != n for row in B):
-            raise ValueError(f"B({m}) in the record is not {n}x{n}")
     return record
 
 

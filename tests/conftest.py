@@ -1,6 +1,7 @@
 import pytest
 
 import brandtkit.brandt as brandt
+import brandtkit.ideals as ideals
 from brandtkit.analysis import analyze
 from brandtkit.intmat import mat_mul
 
@@ -33,6 +34,22 @@ def mat_mul_calls(monkeypatch):
         return mat_mul(A, B)
 
     monkeypatch.setattr(brandt, "mat_mul", counted)
+    return calls
+
+
+@pytest.fixture
+def is_equivalent_calls(monkeypatch):
+    """A list that grows by one for each is_equivalent made in
+    brandtkit.ideals.  Its one caller is ClassList.find, which serves the
+    class walk and the B(N) read-off of brandtkit.brandt alike."""
+    calls = []
+    is_equivalent = ideals.is_equivalent
+
+    def counted(I, J):
+        calls.append(1)
+        return is_equivalent(I, J)
+
+    monkeypatch.setattr(ideals, "is_equivalent", counted)
     return calls
 
 

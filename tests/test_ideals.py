@@ -7,13 +7,14 @@ import oracles
 from brandtkit import ideals as ideals_module
 from brandtkit import orders
 from brandtkit.brandt import BrandtCollection
-from brandtkit.ideals import (EnumerationError, LeftIdeal, enumerate_classes,
-                              ideal_inverse, is_equivalent, p_neighbors,
-                              right_order, two_sided_ideal, unit_weight)
+from brandtkit.ideals import (EnumerationError, LeftIdeal, class_key,
+                              enumerate_classes, ideal_inverse, is_equivalent,
+                              p_neighbors, right_order, two_sided_ideal,
+                              unit_weight)
 from brandtkit.lattices import QuatLattice, product_lattice
 from brandtkit.orders import QuatOrder, maximal_order, reduced_discriminant
 from brandtkit.quatalg import (ConsistencyError, ConstructionError,
-                               construct_algebra)
+                               construct_algebra, mul4)
 from brandtkit.spectral import sturm_bound
 
 
@@ -195,6 +196,49 @@ def test_class_representatives_are_inequivalent():
         for i in range(classes.n):
             for j in range(i + 1, classes.n):
                 assert not is_equivalent(classes.ideals[i], classes.ideals[j])
+
+
+@pytest.mark.parametrize("N", [11, 37, 101, 197])
+def test_keyed_walk_matches_unkeyed_walk(N, monkeypatch):
+    # with one key for every ideal, find() tests each known class in turn,
+    # as the walk did before it had keys
+    keyed = classes_for(N)
+    keyed_level_matrix = BrandtCollection(keyed, 1).matrix(N)
+    monkeypatch.setattr(ideals_module, "class_key", lambda ideal, level: ())
+    plain = classes_for(N)
+    assert ([I.lattice for I in plain.ideals]
+            == [I.lattice for I in keyed.ideals])
+    assert plain.weights == keyed.weights
+    assert BrandtCollection(plain, 1).matrix(N) == keyed_level_matrix
+
+
+@pytest.mark.parametrize("N", [37, 101, 197])
+def test_class_key_is_a_class_invariant(N):
+    classes = classes_for(N)
+    order = classes.order
+    alg = order.alg
+    rng = random.Random(N)
+    for i, I in enumerate(classes.ideals):
+        for _ in range(3):
+            alpha = [0, 0, 0, 0]
+            while not any(alpha):  # a random nonzero element of the order
+                coeffs = [rng.randint(-5, 5) for _ in range(4)]
+                alpha = [sum(c * row[k] for c, row in
+                             zip(coeffs, order.lattice.mat)) for k in range(4)]
+            rows = [mul4(alg.a, alg.b, row, alpha) for row in I.lattice.mat]
+            J = LeftIdeal(order, QuatLattice.from_rows(
+                alg, rows, I.lattice.den * order.lattice.den))
+            assert class_key(J, N) == class_key(I, N)
+            assert classes.find(J) == i
+
+
+@pytest.mark.parametrize("N", [197, 307])
+def test_equivalence_tests_within_budget(N, is_equivalent_calls):
+    # the walk and the B(N) read-off; keyed by nothing they make 536 at
+    # N = 197 and 878 at N = 307
+    classes = classes_for(N)
+    BrandtCollection(classes, 1)
+    assert len(is_equivalent_calls) <= 5 * classes.n
 
 
 def test_translation_modules_are_integral_counts():

@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from brandtkit.records import (MigrationError, float_str, frac_str,
 from conftest import cached_analysis
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def test_frac_and_float_formatting():
@@ -105,6 +108,38 @@ def test_verify_malformed_record_exits_2(missing, tmp_path, capsys):
         load_record(path)
     assert main(["verify", str(path)]) == 2
     assert "cannot read record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("theta.dims", None),
+    ("theta.sigma_sets", 5),
+    ("spectral.tn_signs", None),
+    ("weights.0", 0),
+    ("mass", "abc"),
+    ("b0.0.0", "1/0"),
+    ("brandt.2.0.0", "1"),
+    ("coeff_bound", "5"),
+    ("checks", [[1]]),
+])
+def test_verify_bad_value_exits_2(path, value, tmp_path):
+    record = json.loads(to_json(cached_analysis(37).record))
+    *keys, last = path.split(".")
+    target = record
+    for key in keys:
+        target = target[int(key) if isinstance(target, list) else key]
+    target[int(last) if isinstance(target, list) else last] = value
+    bad = tmp_path / "bad-value.json"
+    write_record(record, bad)
+    with pytest.raises(ValueError):
+        load_record(bad)
+    # in a child process, so that an escaped exception shows as a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "brandtkit.cli", "verify", str(bad)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "cannot read record" in proc.stderr
 
 
 def test_old_tool_version_record_verifies(capsys):
