@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .ideals import LeftIdeal, two_sided_ideal
-from .intmat import identity, mat_mul, rank_mod
+from .intmat import combination, identity, mat_mul, rank_mod
 from .lattices import product_lattice
 from .quatalg import ConsistencyError, is_prime
 
@@ -203,10 +203,8 @@ def _cyclic_operator(mats, primes, n):
     the fixed vector v is cyclic, or None."""
     rng = random.Random(0)
     v = [rng.randrange(KRYLOV_PRIME) for _ in range(n)]
-    T = [[0] * n for _ in range(n)]
-    for k, p in enumerate(primes[:3], start=1):
-        T = [[t + k * b for t, b in zip(Trow, Brow)]
-             for Trow, Brow in zip(T, mats[p])]
+    for k in range(1, len(primes[:3]) + 1):
+        T = combination(range(1, k + 1), [mats[p] for p in primes[:k]])
         krylov = [v]
         for _ in range(n - 1):
             u = krylov[-1]
@@ -266,7 +264,6 @@ def check_commutativity(level, weights, bound, mats):
 
 def check_hecke_recursion(level, weights, bound, mats):
     """B(p) B(p^k) = B(p^{k+1}) + p B(p^{k-1}) for p prime to the level."""
-    n = len(weights)
     checked = 0
     for p in range(2, bound + 1):
         if not is_prime(p) or p == level:
@@ -274,9 +271,7 @@ def check_hecke_recursion(level, weights, bound, mats):
         pk = p
         while pk * p <= bound:
             lhs = mat_mul(mats[p], mats[pk])
-            rhs = [[mats[pk * p][i][j] + p * mats[pk // p][i][j]
-                    for j in range(n)] for i in range(n)]
-            if lhs != rhs:
+            if lhs != combination((1, p), (mats[pk * p], mats[pk // p])):
                 return False, f"recursion failed at p={p}, p^k={pk}"
             checked += 1
             pk *= p

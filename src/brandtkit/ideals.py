@@ -37,6 +37,8 @@ from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder
 from .quatalg import ConsistencyError, is_prime, mul4
 
+MAX_NEIGHBOUR_PRIME = 97  # the class walk gives up above this prime
+
 
 class EnumerationError(RuntimeError):
     """The class walk could not be completed (graph closed early at all p)."""
@@ -266,6 +268,8 @@ class ClassList:
         """Append a new class; the caller knows that it is new."""
         key = class_key(ideal, self.level)
         self._by_key.setdefault(key, []).append(self.n)
+        # conj(I) I / nrd(I) is I^-1 I, the same canonical lattice
+        self._translations[self.n, self.n] = right_order.lattice
         self.ideals.append(ideal)
         self.right_orders.append(right_order)
         self.weights.append(weight)
@@ -289,7 +293,7 @@ class ClassList:
         return self._translations[key]
 
 
-def enumerate_classes(order, level=None, start_p=2, max_p=97):
+def enumerate_classes(order, level=None, start_p=2):
     """All left ideal classes of a maximal order, mass-formula terminated.
 
     A breadth-first walk over p-neighbours, the smallest p first.  Each
@@ -309,9 +313,9 @@ def enumerate_classes(order, level=None, start_p=2, max_p=97):
     while mass < target:
         if not frontier:
             p = _next_prime(p, level)
-            if p > max_p:
+            if p > MAX_NEIGHBOUR_PRIME:
                 raise EnumerationError(
-                    f"class walk did not close below p={max_p}")
+                    f"class walk did not close below p={MAX_NEIGHBOUR_PRIME}")
             frontier = deque(classes.ideals)
         current = frontier.popleft()
         for nb in p_neighbors(current, p):

@@ -1,9 +1,10 @@
 """Exact linear algebra on small matrices.
 
-Everything here works on plain lists of row lists.  The matrix routines
+Everything here works on plain lists of row lists.  `mat_mul` and
+`combination` take ints, Fractions or floats.  The other matrix routines
 stay in integers (HNF, Bareiss determinant and rank, rank mod p); rationals
-remain only in `charpoly` and the polynomial helpers over Q.  Matrices are
-tiny (4x4 up to ~20x40), so clarity wins over asymptotics.
+remain only in `charpoly` and the polynomial helpers over Q.  Matrices run
+from 4x4 up to 171x84 (one class's theta rows at N = 1009).
 """
 
 from fractions import Fraction
@@ -15,8 +16,19 @@ def identity(n):
 
 
 def mat_mul(A, B):
+    """A B: entry (i, j) is the builtin sum of A_it B_tj over t = 0, 1, ..."""
     cols = list(zip(*B))
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
+def combination(coeffs, mats):
+    """sum_k c_k M_k for one or more matrices of one shape, accumulated
+    entrywise from 0 in the order given."""
+    out = [[0] * len(row) for row in mats[0]]
+    for c, M in zip(coeffs, mats):
+        out = [[t + c * x for t, x in zip(trow, row)]
+               for trow, row in zip(out, M)]
+    return out
 
 
 def hnf(rows):

@@ -153,12 +153,15 @@ def _check_values(record):
          f"a list of {n} integers"),
         ("theta.sigma_sets", _is_list(
             theta["sigma_sets"], n,
-            lambda s: isinstance(s, list) and all(map(_is_int, s))),
-         f"a list of {n} integer lists"),
+            lambda s: isinstance(s, list) and all(map(_is_int, s))
+            and all(a < b for a, b in zip([0] + s, s + [n + 1]))),
+         f"a list of {n} strictly increasing lists of labels 1..{n}"),
         ("theta.rho", _is_int(theta["rho"]), "an integer"),
         ("spectral.tn_signs", _is_list(record["spectral"]["tn_signs"], n,
-                                       lambda s: s is None or _is_int(s)),
-         f"a list of {n} integers or nulls"),
+                                       lambda s: s is None or
+                                       (_is_int(s) and abs(s) == 1))
+         and record["spectral"]["tn_signs"].count(None) == 1,
+         f"a list of {n} signs -1 or 1 and one null"),
         ("checks", isinstance(record["checks"], list) and all(
             isinstance(c, list) and len(c) == 3 and isinstance(c[0], str)
             and type(c[1]) is bool and isinstance(c[2], str)

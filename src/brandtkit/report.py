@@ -17,13 +17,15 @@ algebra, which is then a product, and no charpoly is needed.  At the
 other levels the verdict is exact too: "field" by irreducibility mod p
 of a squarefree kernel charpoly, "product" by a class difference whose
 orbit under the same operator is a proper subspace.  The expansion
-identities are checked once per level in O(M n^3).
+identities are checked row by row: for class i, two products (intmat.mat_mul)
+evaluate both identities at every m and every column j.
 """
 
 import random
 from fractions import Fraction
 
-from .intmat import charpoly, exact_rank, is_irreducible_mod, poly_is_squarefree
+from .intmat import (charpoly, combination, exact_rank, is_irreducible_mod,
+                     mat_mul, poly_is_squarefree)
 from .quatalg import ConsistencyError, is_prime
 from .spectral import sturm_bound
 
@@ -66,13 +68,13 @@ def full_span_check(coll):
     return rank == coll.n, rank
 
 
-def sigma_set(spec, i, tol=SIGMA_TOL, target=None):
-    """Labels k (1-based) with ([i], f_k) != 0, decided at tolerance tol.
+def sigma_set(spec, i, target=None):
+    """Labels k (1-based) with ([i], f_k) != 0, decided at tolerance t.
 
     The pairing values are w_i * f_ik; a value counts as nonzero when it
-    exceeds tol times the largest pairing value of that eigenvector.  When
-    the expected cardinality (the exact rank) is supplied, a mismatch moves
-    tol by decades up to three times before giving up.
+    exceeds t = SIGMA_TOL times the largest pairing value of that eigenvector.
+    When the expected cardinality (the exact rank) is supplied, a mismatch
+    moves t by decades up to three times before giving up.
     """
     n = spec.n
     w = spec.weights
@@ -86,10 +88,10 @@ def sigma_set(spec, i, tol=SIGMA_TOL, target=None):
                 labels.add(k + 1)
         return labels
 
-    labels = pick(tol)
+    labels = pick(SIGMA_TOL)
     if target is None or len(labels) == target:
         return labels
-    t = tol
+    t = SIGMA_TOL
     for _ in range(3):
         t = t / 10.0 if len(labels) < target else t * 10.0
         labels = pick(t)
@@ -108,31 +110,31 @@ def verify_expansion_identities(coll, spec):
     largest of both identities over m = 1..M (identity (1) does not depend
     on j and is evaluated once per row), the scale max |w_i B(m)_ij| over
     m, at least 1.
+    Row i is two products over all m, each sum in the order written above
+    (in (2) the pair product is formed first).
     """
     n = spec.n
     w = spec.weights
     vec = spec.eigenvectors
+    ms = range(1, coll.bound + 1)
+    mats = [coll.matrix(m) for m in ms]
+    alpha = [[spec.character(k, m) for k in range(n)] for m in ms]
     pair = [[w[i] * vec[k][i] for i in range(n)] for k in range(n)]
-    resid = [[0.0] * n for _ in range(n)]
-    scale = [[1.0] * n for _ in range(n)]
-    row_resid = [0.0] * n  # identity (1), per row i
-    for m in range(1, coll.bound + 1):
-        B = coll.matrix(m)
-        alpha = [spec.character(k, m) for k in range(n)]
-        for i in range(n):
-            Bi = B[i]
-            for k in range(n):
-                one_lhs = pair[k][i] * alpha[k]
-                one_rhs = w[i] * sum(vec[k][l] * Bi[l] for l in range(n))
-                row_resid[i] = max(row_resid[i], abs(one_lhs - one_rhs))
-            for j in range(n):
-                lhs = float(w[i] * Bi[j])
-                scale[i][j] = max(scale[i][j], abs(lhs))
-                rhs = sum(pair[k][j] * pair[k][i] * alpha[k]
-                          for k in range(n))
-                resid[i][j] = max(resid[i][j], abs(lhs - rhs))
-    return [[(max(resid[i][j], row_resid[i]), scale[i][j]) for j in range(n)]
-            for i in range(n)]
+    frame = list(zip(*vec))  # column k is f_k
+    table = []
+    for i in range(n):
+        rows = [B[i] for B in mats]
+        one = mat_mul(rows, frame)
+        row_resid = max(abs(pair[k][i] * a[k] - w[i] * s[k])
+                        for a, s in zip(alpha, one) for k in range(n))
+        two = mat_mul(alpha, [[p[j] * p[i] for j in range(n)] for p in pair])
+        cells = []
+        for j in range(n):
+            lhs = [float(w[i] * row[j]) for row in rows]
+            resid = max(abs(x - t[j]) for x, t in zip(lhs, two))
+            cells.append((max(resid, row_resid), max(1.0, *map(abs, lhs))))
+        table.append(cells)
+    return table
 
 
 def exact_rho(BN):
@@ -173,17 +175,6 @@ def _restrict_to_kernel(B):
     return [[B[l][k] - B[l][0] for k in range(1, n)] for l in range(1, n)]
 
 
-def _combo_matrix(coll, primes, coeffs):
-    n = coll.n
-    T = [[0] * n for _ in range(n)]
-    for p, c in zip(primes, coeffs):
-        B = coll.matrix(p)
-        for a in range(n):
-            for b in range(n):
-                T[a][b] += c * B[a][b]
-    return T
-
-
 def hecke_field_probe(coll, seed=0):
     """Decide whether the cuspidal Hecke algebra spans a single field.
 
@@ -213,7 +204,7 @@ def hecke_field_probe(coll, seed=0):
     rng = random.Random(seed)
     for _ in range(3):
         coeffs = [rng.randrange(1, 10) for _ in primes]
-        T = _combo_matrix(coll, primes, coeffs)
+        T = combination(coeffs, [coll.matrix(p) for p in primes])
         f = charpoly(_restrict_to_kernel(T))
         if poly_is_squarefree(f):
             break

@@ -2,9 +2,12 @@
 
 The class module carries the pairing ([i],[j]) = w_i delta_ij.  All B(m)
 are self-adjoint for it, so D^{1/2} B D^{-1/2} with D = diag(w) is an honest
-symmetric matrix.  A generic integer combination of the B(p) is diagonalized
-with a cyclic Jacobi sweep and the resulting frame is shared by the whole
-family; eigenvalues of the individual B(m) come back as Rayleigh quotients.
+symmetric matrix.  A generic integer combination of the B(p)
+(intmat.combination) is diagonalized with a cyclic Jacobi sweep and the
+resulting frame U is shared by the whole family; eigenvalues of the
+individual B(m) come back as Rayleigh quotients.  One product S_m U^T per
+stored m (intmat.mat_mul) gives every S_m u_k at once, and with it the
+character and the residual of each pair (k, m); U U^T checks the frame.
 
 Everything numeric is double precision with explicit residual checks at
 1e-8; the Eisenstein eigenvector is additionally verified in exact rational
@@ -14,12 +17,16 @@ arithmetic, since it is known in closed form: coordinates 1/w_i.
 import random
 from fractions import Fraction
 from math import sqrt
+from operator import mul
 
 from .brandt import check_weighted_row_sums, sigma_level
+from .intmat import combination, mat_mul
 from .quatalg import ConsistencyError, is_prime
 
 RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-9
+JACOBI_TOL = 1e-13  # largest off-diagonal entry / largest entry at the end
+JACOBI_MAX_SWEEPS = 64
 
 
 def sturm_bound(N):
@@ -73,18 +80,18 @@ def symmetrize(B, weights):
             for i in range(n)]
 
 
-def jacobi_eigensystem(S, tol=1e-13, max_sweeps=64):
+def jacobi_eigensystem(S):
     """Cyclic Jacobi on a symmetric matrix: (eigenvalues, eigenvector columns)."""
     n = len(S)
     A = [row[:] for row in S]
     V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     scale = max(abs(A[i][j]) for i in range(n) for j in range(n)) or 1.0
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for i in range(n):
             for j in range(i + 1, n):
                 off = max(off, abs(A[i][j]))
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             break
         for p in range(n):
             for q in range(p + 1, n):
@@ -157,15 +164,6 @@ def character_qexpansion(spec, k, bound=None):
     return list(row[:bound])
 
 
-def _mat_inf_norm(B):
-    return max(sum(abs(float(x)) for x in row) for row in B)
-
-
-def _apply(B, v):
-    return [sum(float(B[i][j]) * v[j] for j in range(len(v)))
-            for i in range(len(v))]
-
-
 def eigendecompose(coll, seed=0):
     """Diagonalize the whole family off one generic combination of the B(p).
 
@@ -202,21 +200,17 @@ def _decompose_once(coll, primes, coeffs, seed):
         return SpectralData(N, weights, [vec], chars, stored, [None], 0, 0.0,
                             seed, {"primes": [], "coeffs": []})
 
-    combo = [[0.0] * n for _ in range(n)]
-    for p, c in zip(primes, coeffs):
-        S = symmetrize(coll.matrix(p), weights)
-        for i in range(n):
-            for j in range(n):
-                combo[i][j] += c * S[i][j]
-    eigvals, eigvecs = jacobi_eigensystem(combo)
+    ms = coll.available()
+    sym = {m: symmetrize(coll.matrix(m), weights) for m in ms}
+    _, eigvecs = jacobi_eigensystem(
+        combination(coeffs, [sym[p] for p in primes]))
+    frame = list(zip(*eigvecs))  # column k is u_k
 
     # orthonormality of the returned frame
-    for a in range(n):
-        for b in range(a, n):
-            dot = sum(eigvecs[a][i] * eigvecs[b][i] for i in range(n))
-            want = 1.0 if a == b else 0.0
-            if abs(dot - want) > ORTHO_TOL:
-                raise ConsistencyError("Jacobi frame is not orthonormal")
+    gram = mat_mul(eigvecs, frame)
+    if any(abs(gram[a][b] - (a == b)) > ORTHO_TOL
+           for a in range(n) for b in range(a, n)):
+        raise ConsistencyError("Jacobi frame is not orthonormal")
 
     # back to class coordinates, sign-fixed
     vectors = []
@@ -230,26 +224,22 @@ def _decompose_once(coll, primes, coeffs, seed):
                 break
         vectors.append(f)
 
-    # characters for every stored matrix, with residual control
-    ms = coll.available()
-    sym = {m: symmetrize(coll.matrix(m), weights) for m in ms}
-    norms = {m: _mat_inf_norm(sym[m]) or 1.0 for m in ms}
+    # characters for every stored matrix, with residual control: row k of
+    # the transposed product S_m U^T is S_m u_k
     max_residual = 0.0
-    char_map = []
-    for k, u in enumerate(eigvecs):
-        row = {}
-        for m in ms:
-            Su = _apply(sym[m], u)
-            alpha = sum(u[i] * Su[i] for i in range(n))
-            resid = max(abs(Su[i] - alpha * u[i]) for i in range(n))
-            norm = norms[m]
+    char_map = [{} for _ in range(n)]
+    for m in ms:
+        norm = max(sum(map(abs, row)) for row in sym[m]) or 1.0
+        images = zip(*mat_mul(sym[m], frame))
+        for k, (u, Su) in enumerate(zip(eigvecs, images)):
+            alpha = sum(map(mul, u, Su))
+            resid = max(abs(s - alpha * x) for s, x in zip(Su, u))
             if resid > RESIDUAL_TOL * norm:
                 raise ConsistencyError(
                     f"residual {resid:.2e} too large at m={m} (combination "
                     "not generic enough)")
             max_residual = max(max_residual, resid / norm)
-            row[m] = alpha
-        char_map.append(row)
+            char_map[k][m] = alpha
 
     # the characters must be pairwise distinct on the stored range
     for a in range(n):

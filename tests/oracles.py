@@ -91,6 +91,32 @@ def charpoly_by_interpolation(rows):
     return [int(c) for c in coeffs]
 
 
+def characters_row_by_row(sym, frame):
+    """Rayleigh quotients and residuals of unit vectors under symmetric
+    float matrices, one pair (k, m) at a time and one entry of S_m u_k at
+    a time.
+
+    sym maps m to S_m, frame lists the u_k.  Returns the list over k of
+    {m: u_k . S_m u_k} and the largest residual max_i |(S_m u_k)_i -
+    alpha u_ki| over all (k, m), divided by the row-sum norm of S_m (1 when
+    that is 0).
+    """
+    n = len(frame)
+    chars = []
+    worst = 0.0
+    for u in frame:
+        row = {}
+        for m, S in sym.items():
+            Su = [sum(S[i][j] * u[j] for j in range(n)) for i in range(n)]
+            alpha = sum(u[i] * Su[i] for i in range(n))
+            resid = max(abs(Su[i] - alpha * u[i]) for i in range(n))
+            norm = max(sum(abs(x) for x in r) for r in S) or 1.0
+            worst = max(worst, resid / norm)
+            row[m] = alpha
+        chars.append(row)
+    return chars, worst
+
+
 def legendre_euler(u, p):
     """Quadratic residue symbol by Euler's criterion."""
     u %= p

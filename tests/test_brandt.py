@@ -258,6 +258,16 @@ def test_both_halves_reference(N):
         assert coll.matrix(m) == ref, m
 
 
+@pytest.mark.parametrize("N", [11, 37, 101])
+def test_diagonal_module_is_the_right_order(N):
+    # I^-1 I = conj(I) I / nrd(I): the stored right order is the module
+    classes = classes_for(N)
+    for i, I in enumerate(classes.ideals):
+        module = classes.translation_module(i, i)
+        assert module is classes.right_orders[i].lattice
+        assert module == product_lattice(I.inverse(), I.lattice)
+
+
 def test_level_matrix_needs_every_class():
     # at N = 43, B(N) swaps the last two classes; without the last one,
     # P I_3 lies in no known class

@@ -120,6 +120,12 @@ def test_verify_malformed_record_exits_2(missing, tmp_path, capsys):
     ("brandt.2.0.0", "1"),
     ("coeff_bound", "5"),
     ("checks", [[1]]),
+    ("theta.sigma_sets.1.0", 0),
+    ("theta.sigma_sets.1.2", 4),
+    ("theta.sigma_sets.1.1", 1),
+    ("spectral.tn_signs.0", 0),
+    ("spectral.tn_signs.0", 43),
+    ("spectral.tn_signs.0", None),
 ])
 def test_verify_bad_value_exits_2(path, value, tmp_path):
     record = json.loads(to_json(cached_analysis(37).record))

@@ -108,7 +108,7 @@ def _expansion_cell(coll, spec, i, j):
 
 def test_expansion_table_matches_direct_evaluation():
     # the same floats as the per-(i, j) evaluation, to the last bit
-    for N in (11, 37, 43):
+    for N in (11, 37, 43, 101):
         coll, spec = pipeline(N)
         table = verify_expansion_identities(coll, spec)
         assert [[_expansion_cell(coll, spec, i, j) for j in range(coll.n)]

@@ -4,10 +4,12 @@ from math import sqrt
 
 import pytest
 
+import brandtkit.spectral as spectral
 import oracles
 from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import enumerate_classes
-from brandtkit.intmat import charpoly, exact_rank, mat_det, mat_mul, rank_mod
+from brandtkit.intmat import (charpoly, combination, exact_rank, mat_det,
+                              mat_mul, rank_mod)
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
 from brandtkit.spectral import (RESIDUAL_TOL, augmentation,
@@ -15,6 +17,7 @@ from brandtkit.spectral import (RESIDUAL_TOL, augmentation,
                                 eisenstein_exact_check, eisenstein_vector,
                                 jacobi_eigensystem, monodromy_pairing,
                                 sigma_level, sturm_bound, symmetrize)
+from conftest import cached_analysis
 
 _colls = {}
 
@@ -120,6 +123,60 @@ def test_mat_mul_matches_triple_loop():
             assert got == ref
             assert [type(x) for row in got for x in row] == \
                 [type(x) for row in ref for x in row]
+
+
+def _accumulated(coeffs, mats):
+    """sum_k c_k M_k by the += loop over (i, j), from 0."""
+    out = [[0] * len(row) for row in mats[0]]
+    for c, M in zip(coeffs, mats):
+        for i, row in enumerate(M):
+            for j, x in enumerate(row):
+                out[i][j] += c * x
+    return out
+
+
+def test_combination_matches_accumulation():
+    rng = random.Random(29)
+    for make in (int, lambda x: x * 0.1 + rng.random()):
+        for _ in range(10):
+            r, c, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(3, 5)
+            coeffs = [rng.randint(1, 9) for _ in range(k)]
+            mats = [[[make(rng.randint(-9, 9)) for _ in range(c)]
+                     for _ in range(r)] for _ in range(k)]
+            got = combination(coeffs, mats)
+            want = _accumulated(coeffs, mats)
+            # bit for bit, and ints stay ints
+            assert [[(type(x), repr(x)) for x in row] for row in got] == \
+                [[(type(x), repr(x)) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("N", [37, 43, 101])
+def test_characters_match_row_by_row_oracle(N, monkeypatch):
+    # the characters and the largest residual are the per-(k, m) loops of
+    # the oracle, to the last bit, on the frame that Jacobi returned
+    coll = cached_analysis(N).collection
+    frames = []
+
+    def recorded(S):
+        result = jacobi_eigensystem(S)
+        frames.append(result[1])
+        return result
+
+    monkeypatch.setattr(spectral, "jacobi_eigensystem", recorded)
+    spec = spectral.eigendecompose(coll, seed=0)
+    ms = coll.available()
+    sym = {m: symmetrize(coll.matrix(m), coll.weights) for m in ms}
+    chars, worst = oracles.characters_row_by_row(sym, frames[-1])
+    assert spec.max_residual == worst
+    # the Eisenstein vector, the one of constant sign, is replaced by its
+    # closed form; the cusp forms are the other rows in some order
+    want = sorted(([row[m] for m in ms],
+                   [row[m] for m in range(1, coll.bound + 1)])
+                  for u, row in zip(frames[-1], chars)
+                  if min(u) < 0 < max(u))
+    got = sorted(([spec.char_stored[k][m] for m in ms], spec.characters[k])
+                 for k in range(spec.n - 1))
+    assert got == want
 
 
 def test_jacobi_reconstructs_symmetric_matrices():
