@@ -1,17 +1,18 @@
 """Supersingular j-invariants by exhaustive point counting.
 
-This is a cross-check that never touches the quaternion side: candidates
-come from the Hasse polynomial sum_i C(m,i)^2 x^i (m = (N-1)/2), whose
-roots are exactly the supersingular Legendre parameters, and every
-candidate j is then confirmed by counting points of an explicit curve over
-F_{N^2}.  A curve over F_q is supersingular iff its trace q + 1 - #E(F_q)
-is divisible by N.
+This is a cross-check that never touches the quaternion side.  Candidates
+are the roots of the supersingular polynomial ss_N(j), which is squarefree
+and vanishes exactly at the supersingular j; it is written down in closed
+form (Kaneko-Zagier) as a truncated 2F1(1/12, 5/12; 1; 1728/j), and every
+root over F_{N^2} is found by a scan.  Every candidate j is then confirmed
+by counting the points of an explicit curve with that invariant.  A curve
+over F_q is supersingular iff its trace q + 1 - #E(F_q) is divisible by N.
+A curve defined over F_N is counted over F_N and its trace lifted to
+F_{N^2}; any other curve is counted over all of F_{N^2}.
 
 The field F_{N^2} is F_N[x]/(x^2 - c) with c the smallest quadratic
 nonresidue; elements are pairs (s, t) meaning s + t*sqrt(c).
 """
-
-from math import comb
 
 from .quatalg import ConsistencyError, is_prime
 
@@ -24,14 +25,12 @@ class QuadField:
     def __init__(self, N):
         assert is_prime(N) and N >= 3
         self.N = N
-        squares = {x * x % N for x in range(1, N)}
-        self.squares = squares
-        self.c = next(u for u in range(2, N) if u not in squares)
+        # legendre[u] is the quadratic character of u in F_N
+        self.legendre = [0] + [-1] * (N - 1)
+        for x in range(1, (N + 1) // 2):
+            self.legendre[x * x % N] = 1
+        self.c = self.legendre.index(-1)
         self.q = N * N
-
-    def add(self, x, y):
-        N = self.N
-        return ((x[0] + y[0]) % N, (x[1] + y[1]) % N)
 
     def sub(self, x, y):
         N = self.N
@@ -46,36 +45,8 @@ class QuadField:
         N = self.N
         return (a * x[0] % N, a * x[1] % N)
 
-    def pow(self, x, e):
-        r = (1, 0)
-        while e:
-            if e & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return r
-
-    def inv(self, x):
-        # norm(x) = s^2 - c t^2 lies in F_N*, and 1/x = conj(x)/norm(x)
-        N = self.N
-        nrm = (x[0] * x[0] - self.c * x[1] * x[1]) % N
-        ninv = pow(nrm, N - 2, N)
-        return (x[0] * ninv % N, -x[1] * ninv % N)
-
     def conj(self, x):
         return (x[0], (self.N - x[1]) % self.N)
-
-    def chi(self, x):
-        """Quadratic character of F_{N^2}: chi = legendre(norm) on F_N."""
-        nrm = (x[0] * x[0] - self.c * x[1] * x[1]) % self.N
-        if nrm == 0:
-            return 0
-        return 1 if nrm in self.squares else -1
-
-    def elements(self):
-        for s in range(self.N):
-            for t in range(self.N):
-                yield (s, t)
 
 
 def curve_from_j(F, j):
@@ -91,42 +62,65 @@ def curve_from_j(F, j):
 
 
 def point_count(F, A, B):
-    """#E(F_{N^2}) for y^2 = x^3 + Ax + B by full character sum."""
+    """#E(F_{N^2}) for the nonsingular y^2 = x^3 + Ax + B by an
+    exhaustive character sum.
+
+    When A and B lie in F_N the sum runs over F_N only: with
+    a = N + 1 - #E(F_N), the trace over F_{N^2} is a^2 - 2N.
+    """
+    N, c, leg = F.N, F.c, F.legendre
+    (a0, a1), (b0, b1) = A, B
+    if a1 == b1 == 0:
+        a = -sum(leg[(x * x * x + a0 * x + b0) % N] for x in range(N))
+        return F.q + 1 - (a * a - 2 * N)
+    # at x = s + t sqrt(c), x^3 + Ax + B = v0 + v1 sqrt(c) with
+    # v0 = s^3 + a0 s + b0 + t (c a1 + 3cs t),
+    # v1 = a1 s + b1 + t (3s^2 + a0 + c t^2), and its character is that of
+    # the norm v0^2 - c v1^2; that norm is sq[v0] - csq[v1] in (-N, N),
+    # and a negative index u into leg reads leg[N + u], the class of u.
+    sq = [v * v % N for v in range(N)]
+    csq = [c * v % N for v in sq]
+    tu = [(t, c * t * t % N) for t in range(N)]
+    k0 = c * a1 % N
     total = F.q + 1
-    for x in F.elements():
-        x2 = F.mul(x, x)
-        val = F.add(F.mul(x2, x), F.add(F.mul(A, x), B))
-        total += F.chi(val)
+    for s in range(N):
+        p0, l0 = ((s * s + a0) * s + b0) % N, 3 * c * s % N
+        p1, q1 = (a1 * s + b1) % N, (3 * s * s + a0) % N
+        total += sum(leg[sq[(p0 + t * (k0 + l0 * t)) % N]
+                         - csq[(p1 + t * (q1 + u)) % N]] for t, u in tu)
     return total
 
 
 def is_supersingular(j, N, field=None):
     """Exhaustive decision: trace of Frobenius divisible by N."""
-    if isinstance(j, int):
-        j = (j % N, 0)
+    j = (j % N, 0) if isinstance(j, int) else (j[0] % N, j[1] % N)
     if N in (2, 3):
-        return tuple(j) in SS_TABLE_SMALL[N]
+        return j in SS_TABLE_SMALL[N]
     F = field or QuadField(N)
     A, B = curve_from_j(F, j)
     trace = F.q + 1 - point_count(F, A, B)
     return trace % N == 0
 
 
-def hasse_polynomial(N):
-    """sum_i C(m,i)^2 x^i mod N, m = (N-1)/2, ascending coefficients."""
-    m = (N - 1) // 2
-    return [comb(m, i) ** 2 % N for i in range(m + 1)]
+def supersingular_polynomial(N):
+    """ss_N(j) mod N for a prime N >= 5, ascending coefficients, monic.
 
-
-def _legendre_j(F, lam):
-    """j-invariant 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2) of the
-    curve y^2 = x(x - 1)(x - lam)."""
-    one = (1, 0)
-    l2 = F.mul(lam, lam)
-    num = F.add(F.sub(l2, lam), one)
-    num = F.mul(F.mul(num, num), num)
-    den = F.mul(l2, F.mul(F.sub(lam, one), F.sub(lam, one)))
-    return F.smul(256, F.mul(num, F.inv(den)))
+    ss_N = j^d (j - 1728)^e sum_k c_k j^(n-k) with d = [N = 2 mod 3],
+    e = [N = 3 mod 4], n = (N - 1 - 4d - 6e)/12, c_0 = 1 and
+    c_(k+1) = 12 (12k + a)(12k + b) c_k / (k + 1)^2, where (a, b) is
+    (1, 5), or (7, 11) (the Euler transform) when e = 1.
+    """
+    d, e = int(N % 3 == 2), int(N % 4 == 3)
+    n = (N - 1 - 4 * d - 6 * e) // 12
+    a, b = (7, 11) if e else (1, 5)
+    coeffs = [1]  # c_0, ..., c_n: ascending powers of 1/j
+    for k in range(n):
+        coeffs.append(12 * (12 * k + a) * (12 * k + b) * coeffs[-1]
+                      * pow((k + 1) ** 2, -1, N) % N)
+    poly = [0] * d + coeffs[::-1]
+    if e:  # times (j - 1728)
+        poly = [(lo - 1728 * hi) % N for lo, hi in zip([0] + poly, poly + [0])]
+    return poly
 
 
 class SupersingularSet:
@@ -151,23 +145,22 @@ def supersingular_set(N):
     if N in SS_TABLE_SMALL:
         return SupersingularSet(N, list(SS_TABLE_SMALL[N]))
     F = QuadField(N)
-    H = hasse_polynomial(N)
-    zero, one = (0, 0), (1, 0)
+    c = F.c
+    coeffs = supersingular_polynomial(N)[::-1]
     found = set()
     # roots come in conjugate pairs, so scanning t <= (N-1)/2 suffices
     for s in range(N):
         for t in range((N + 1) // 2):
-            lam = (s, t)
-            if lam in (zero, one):
-                continue
-            acc = (H[-1] % N, 0)
-            for coeff in reversed(H[:-1]):
-                acc = F.mul(acc, lam)
-                acc = ((acc[0] + coeff) % N, acc[1])
-            if acc == zero:
-                j = _legendre_j(F, lam)
-                found.add(j)
-                found.add(F.conj(j))
+            v0, v1 = 0, 0
+            for coeff in coeffs:
+                v0, v1 = ((v0 * s + c * v1 * t + coeff) % N,
+                          (v0 * t + v1 * s) % N)
+            if v0 == v1 == 0:
+                found.update(((s, t), (s, -t % N)))
+    # ss_N is squarefree and splits over F_{N^2}
+    if len(found) != len(coeffs) - 1:
+        raise ConsistencyError(f"{len(found)} roots of ss_{N}, which has "
+                               f"degree {len(coeffs) - 1}")
     for j in sorted(found):
         if not is_supersingular(j, N, field=F):
             raise ConsistencyError(f"candidate j={j} fails point counting")

@@ -8,6 +8,7 @@ point-count scans instead of character sums.
 """
 
 from fractions import Fraction
+from math import comb
 
 from brandtkit.lattices import QuatLattice
 
@@ -312,6 +313,100 @@ def brute_supersingular_minpolys(N):
         if (F.q + 1 - count) % N == 0:
             result.append(F.minpoly_pair(j))
     return sorted(result)
+
+
+class ElementQuadField:
+    """F_{N^2} as F_N(sqrt(c)), c the least quadratic nonresidue, found by
+    Euler's criterion: the library's model, so elements compare directly,
+    with element-by-element arithmetic."""
+
+    def __init__(self, N):
+        self.N = N
+        self.c = next(u for u in range(2, N) if legendre_euler(u, N) == -1)
+        self.q = N * N
+
+    def add(self, x, y):
+        return ((x[0] + y[0]) % self.N, (x[1] + y[1]) % self.N)
+
+    def sub(self, x, y):
+        return ((x[0] - y[0]) % self.N, (x[1] - y[1]) % self.N)
+
+    def mul(self, x, y):
+        N = self.N
+        return ((x[0] * y[0] + self.c * x[1] * y[1]) % N,
+                (x[0] * y[1] + x[1] * y[0]) % N)
+
+    def smul(self, a, x):
+        return (a * x[0] % self.N, a * x[1] % self.N)
+
+    def inv(self, x):
+        # norm(x) = s^2 - c t^2 lies in F_N*, and 1/x = conj(x)/norm(x)
+        N = self.N
+        ninv = pow((x[0] * x[0] - self.c * x[1] * x[1]) % N, N - 2, N)
+        return (x[0] * ninv % N, -x[1] * ninv % N)
+
+    def conj(self, x):
+        return (x[0], -x[1] % self.N)
+
+    def chi(self, x):
+        """Quadratic character of F_{N^2}: the symbol of the norm on F_N."""
+        return legendre_euler(x[0] * x[0] - self.c * x[1] * x[1], self.N)
+
+    def elements(self):
+        for s in range(self.N):
+            for t in range(self.N):
+                yield (s, t)
+
+
+def point_count_by_elements(F, A, B):
+    """#E(F_{N^2}) for y^2 = x^3 + Ax + B, one character per element of
+    F = ElementQuadField(N)."""
+    total = F.q + 1
+    for x in F.elements():
+        val = F.add(F.mul(F.mul(x, x), x), F.add(F.mul(A, x), B))
+        total += F.chi(val)
+    return total
+
+
+def hasse_polynomial(N):
+    """sum_i C(m,i)^2 x^i mod N, m = (N-1)/2, ascending coefficients."""
+    m = (N - 1) // 2
+    return [comb(m, i) ** 2 % N for i in range(m + 1)]
+
+
+def _legendre_j(F, lam):
+    """j-invariant 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2) of the
+    curve y^2 = x(x - 1)(x - lam)."""
+    one = (1, 0)
+    l2 = F.mul(lam, lam)
+    num = F.add(F.sub(l2, lam), one)
+    num = F.mul(F.mul(num, num), num)
+    den = F.mul(l2, F.mul(F.sub(lam, one), F.sub(lam, one)))
+    return F.smul(256, F.mul(num, F.inv(den)))
+
+
+def supersingular_j_by_hasse(N):
+    """Sorted supersingular j over F_{N^2} in the library's model, N >= 5:
+    the j of every root lambda of the Hasse polynomial, the supersingular
+    Legendre parameters, with its conjugate."""
+    F = ElementQuadField(N)
+    H = hasse_polynomial(N)
+    zero, one = (0, 0), (1, 0)
+    found = set()
+    for s in range(N):
+        for t in range((N + 1) // 2):
+            lam = (s, t)
+            if lam in (zero, one):
+                continue
+            acc = (H[-1] % N, 0)
+            for coeff in reversed(H[:-1]):
+                acc = F.mul(acc, lam)
+                acc = ((acc[0] + coeff) % N, acc[1])
+            if acc == zero:
+                j = _legendre_j(F, lam)
+                found.add(j)
+                found.add(F.conj(j))
+    return sorted(found)
 
 
 def gram_schmidt(gram):

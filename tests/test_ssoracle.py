@@ -7,9 +7,10 @@ from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import enumerate_classes
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
+import brandtkit.ssoracle as ssoracle
 from brandtkit.ssoracle import (QuadField, cross_validate, curve_from_j,
-                                hasse_polynomial, is_supersingular,
-                                point_count, supersingular_set)
+                                is_supersingular, point_count,
+                                supersingular_polynomial, supersingular_set)
 
 
 def pipeline(N):
@@ -60,15 +61,69 @@ def test_set_invariants():
 
 def test_hasse_polynomial_shape():
     for N in (5, 11, 37):
-        H = hasse_polynomial(N)
+        H = oracles.hasse_polynomial(N)
         assert len(H) == (N - 1) // 2 + 1
         assert H[0] == 1
         assert H[-1] == 1
+    assert oracles.supersingular_j_by_hasse(13) == [(5, 0)]
+
+
+def test_j_lists_match_hasse_scan():
+    for N in oracles.primes_upto(100)[2:]:
+        assert supersingular_set(N).j_list == \
+            oracles.supersingular_j_by_hasse(N), N
+
+
+def test_supersingular_polynomial_degree_is_class_number():
+    for N in oracles.primes_upto(1000)[2:]:
+        P = supersingular_polynomial(N)
+        assert P[-1] == 1, N
+        assert len(P) - 1 == oracles.eichler_class_number(N), N
+        assert all(0 <= x < N for x in P), N
+
+
+def test_point_count_matches_element_loop():
+    # every j in F_{N^2}: the j in F_N take the F_N path, the rest the full
+    # sum; the mixed pairs (A in F_N, B not, and back) take the full sum
+    for N in oracles.primes_upto(23)[2:]:
+        F, G = QuadField(N), oracles.ElementQuadField(N)
+        for j in G.elements():
+            A, B = curve_from_j(F, j)
+            assert point_count(F, A, B) == \
+                oracles.point_count_by_elements(G, A, B), (N, j)
+        for A, B in (((1, 0), (0, 1)), ((0, 2), (3, 0)), ((1, 1), (1, 0))):
+            assert point_count(F, A, B) == \
+                oracles.point_count_by_elements(G, A, B), (N, A, B)
+
+
+def test_unreduced_tuples_match_ints():
+    for N in (13, 37):
+        for x in (N, 1728, 1728 + N):
+            assert is_supersingular((x, 0), N) == is_supersingular(x, N)
+    assert is_supersingular((5 + 13, 13), 13)
+    assert is_supersingular((3, 0), 3)
+
+
+def test_wrong_root_count_is_refused(monkeypatch):
+    # (j - 5)^2 has the single supersingular root 5 but degree 2
+    monkeypatch.setattr(ssoracle, "supersingular_polynomial",
+                        lambda N: [25 % N, -10 % N, 1])
+    with pytest.raises(ConsistencyError):
+        supersingular_set(13)
+
+
+def power(F, x, e):
+    r = (1, 0)
+    for _ in range(e):
+        r = F.mul(r, x)
+    return r
 
 
 def test_quadfield_axioms():
     F = QuadField(13)
     rng = random.Random(3)
+    assert F.c == oracles.ElementQuadField(13).c
+    assert F.legendre == [oracles.legendre_euler(u, 13) for u in range(13)]
     one, zero = (1, 0), (0, 0)
     for _ in range(40):
         x = (rng.randrange(13), rng.randrange(13))
@@ -76,17 +131,14 @@ def test_quadfield_axioms():
         z = (rng.randrange(13), rng.randrange(13))
         assert F.mul(x, y) == F.mul(y, x)
         assert F.mul(x, F.mul(y, z)) == F.mul(F.mul(x, y), z)
-        assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+        assert F.mul(x, F.sub(y, z)) == F.sub(F.mul(x, y), F.mul(x, z))
+        assert F.smul(5, x) == F.mul((5, 0), x)
         assert F.conj(F.mul(x, y)) == F.mul(F.conj(x), F.conj(y))
-        assert F.pow(x, 13) == F.conj(x)  # Frobenius
-        if x != zero:
-            assert F.mul(x, F.inv(x)) == one
-            assert F.chi(F.mul(x, x)) == 1
-            assert F.chi(F.mul(x, y)) == F.chi(x) * F.chi(y) or y == zero
-    # chi is the quadratic character: half the nonzero elements are squares
-    vals = [F.chi(x) for x in F.elements() if x != zero]
-    assert sum(vals) == 0
-    assert F.pow((0, 1), F.q - 1) == one
+        assert power(F, x, 13) == F.conj(x)  # Frobenius
+        assert F.mul(x, F.conj(x))[1] == 0  # the norm lies in F_N
+    assert power(F, (0, 1), F.q - 1) == one
+    assert power(F, (0, 1), (F.q - 1) // 2) != one  # sqrt(c) is no square
+    assert F.sub(zero, one) == (12, 0)
 
 
 def test_curve_from_j_round_trip():
@@ -97,11 +149,11 @@ def test_curve_from_j_round_trip():
         if j in ((0, 0), (1728 % 11, 0)):
             continue
         A, B = curve_from_j(F, j)
-        # j(E) = 1728 * 4A^3 / (4A^3 + 27B^2)
+        # j(E) = 1728 * 4A^3 / (4A^3 + 27B^2), checked without dividing
         a3 = F.smul(4, F.mul(A, F.mul(A, A)))
-        disc = F.add(a3, F.smul(27, F.mul(B, B)))
-        back = F.smul(1728, F.mul(a3, F.inv(disc)))
-        assert back == j
+        disc = F.sub(a3, F.smul(-27, F.mul(B, B)))
+        assert disc != (0, 0)
+        assert F.mul(j, disc) == F.smul(1728, a3)
 
 
 def test_point_count_supersingular_trace():
