@@ -24,9 +24,10 @@ analyze runs it on a BrandtCollection, verify on a stored record.
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .ideals import LeftIdeal, two_sided_ideal
-from .intmat import combination, identity, mat_mul, rank_mod
+from .intmat import combination, identity, rank_mod, sparse_mul, transpose
 from .lattices import product_lattice
 from .quatalg import ConsistencyError, is_prime
 
@@ -153,23 +154,25 @@ def check_b1_identity(level, weights, bound, mats):
 
 
 def check_weighted_symmetry(level, weights, bound, mats):
-    """Eq-style symmetry w_i B(m)_ij = w_j B(m)_ji for all stored m."""
-    n = len(weights)
+    """Eq-style symmetry w_i B(m)_ij = w_j B(m)_ji for all stored m.
+
+    W B(m), row i scaled by w_i, must equal its own transpose; the first
+    differing row and entry name the failure."""
     for m, B in sorted(mats.items()):
-        for i in range(n):
-            for j in range(n):
-                if weights[i] * B[i][j] != weights[j] * B[j][i]:
-                    return False, f"failed at m={m}, (i,j)=({i + 1},{j + 1})"
+        WB = [[w * x for x in row] for w, row in zip(weights, B)]
+        for i, (row, col) in enumerate(zip(WB, transpose(WB))):
+            if row != col:
+                j = next(j for j, (a, b) in enumerate(zip(row, col)) if a != b)
+                return False, f"failed at m={m}, (i,j)=({i + 1},{j + 1})"
     return True, f"checked m in {{1..{bound}}} and m={level}"
 
 
 def check_column_sums(level, weights, bound, mats):
     """Columns of B(m) sum to sigma(m) with divisors prime to N omitted."""
-    n = len(weights)
     for m, B in sorted(mats.items()):
         target = sigma_level(m, level)
-        for j in range(n):
-            if sum(B[i][j] for i in range(n)) != target:
+        for j, s in enumerate(map(sum, zip(*B))):
+            if s != target:
                 return False, f"column {j + 1} of B({m}) does not sum to {target}"
     return True, "column sums equal sigma(m)"
 
@@ -180,14 +183,13 @@ def check_weighted_row_sums(level, weights, bound, mats):
     Checked in integers: with L = lcm(w), sum_j B(m)_ij (L/w_j) w_i must
     equal sigma(m) L.
     """
-    n = len(weights)
     L = lcm(*weights)
     scaled = [L // w for w in weights]
     for m, B in sorted(mats.items()):
         target = sigma_level(m, level) * L
-        for i in range(n):
-            s = sum(B[i][j] * scaled[j] for j in range(n))
-            if s * weights[i] != target:
+        for i, (row, w) in enumerate(zip(B, weights)):
+            s = sum(map(mul, row, scaled))
+            if s * w != target:
                 return False, (f"failed at m={m}, row {i + 1}: weighted "
                                f"sum is {Fraction(s, L)}")
     return True, "weighted row sums equal sigma(m)/w_i"
@@ -208,11 +210,19 @@ def _cyclic_operator(mats, primes, n):
         krylov = [v]
         for _ in range(n - 1):
             u = krylov[-1]
-            krylov.append([sum(a * b for a, b in zip(row, u)) % KRYLOV_PRIME
+            krylov.append([sum(map(mul, row, u)) % KRYLOV_PRIME
                            for row in T])
         if rank_mod(krylov, KRYLOV_PRIME) == n:
             return T
     return None
+
+
+def _commutes_with(T, mats):
+    """T B = B T for every B of mats, with T the sparse factor of both
+    products: B T is (T^t B^t)^t."""
+    Tt = transpose(T)
+    return all(sparse_mul(T, B) == transpose(sparse_mul(Tt, transpose(B)))
+               for B in mats)
 
 
 def check_commutativity(level, weights, bound, mats):
@@ -238,14 +248,21 @@ def check_commutativity(level, weights, bound, mats):
     determinant is not 0) is used: 2 products per B(p) instead of one per
     pair.  When no T_k has v cyclic, or some B(p) does not commute with T,
     the pairwise loop decides and names the first failing pair.
+
+    The products go through intmat.sparse_mul with a sparse left factor.
+    B(q) has nonnegative entries and columns summing to sigma(q), and by
+    weighted symmetry each row has the zero pattern of the matching column,
+    so B(q) has at most sigma(q) nonzeros per row: T_1 = B(2) at most 3,
+    T_2 = B(2) + 2 B(3) at most 7.  T B(r) is sparse_mul(T, B(r)) and
+    B(r) T is (T^t B(r)^t)^t.  B(m) = B(q) B(m/q) takes B(q) on the left,
+    and the pairwise fallback multiplies the B(p) in both orders.
     """
     primes = [m for m in sorted(mats) if is_prime(m)]
     T = _cyclic_operator(mats, primes, len(weights))
-    if T is None or any(mat_mul(mats[r], T) != mat_mul(T, mats[r])
-                        for r in primes):
+    if T is None or not _commutes_with(T, [mats[r] for r in primes]):
         for x, p in enumerate(primes):
             for r in primes[x + 1:]:
-                if mat_mul(mats[p], mats[r]) != mat_mul(mats[r], mats[p]):
+                if sparse_mul(mats[p], mats[r]) != sparse_mul(mats[r], mats[p]):
                     return False, f"B({p}) and B({r}) do not commute"
     products = 0
     for m in sorted(mats)[1:]:  # skip B(1)
@@ -255,7 +272,7 @@ def check_commutativity(level, weights, bound, mats):
             q *= p
         if q == m:
             continue
-        if mats[m] != mat_mul(mats[q], mats[m // q]):
+        if mats[m] != sparse_mul(mats[q], mats[m // q]):
             return False, f"B({m}) != B({q}) B({m // q})"
         products += 1
     return True, (f"{len(primes)} prime-index matrices commute pairwise, "
@@ -270,7 +287,7 @@ def check_hecke_recursion(level, weights, bound, mats):
             continue
         pk = p
         while pk * p <= bound:
-            lhs = mat_mul(mats[p], mats[pk])
+            lhs = sparse_mul(mats[p], mats[pk])
             if lhs != combination((1, p), (mats[pk * p], mats[pk // p])):
                 return False, f"recursion failed at p={p}, p^k={pk}"
             checked += 1
@@ -285,7 +302,7 @@ def check_level_involution(level, weights, bound, mats):
     # it a bijection
     if any(sum(row) != 1 or any(x not in (0, 1) for x in row) for row in B):
         return False, "B(N) is not a 0/1 permutation matrix"
-    if mat_mul(B, B) != identity(len(weights)):
+    if sparse_mul(B, B) != identity(len(weights)):
         return False, "B(N)^2 is not the identity"
     return True, "B(N) is a permutation involution"
 
@@ -296,7 +313,7 @@ def check_level_powers(level, weights, bound, mats):
     k = 1
     while level ** (k + 1) <= bound:
         k += 1
-        power = mat_mul(power, mats[level])
+        power = sparse_mul(power, mats[level])
         if mats[level ** k] != power:
             return False, f"B({level ** k}) != B({level})^{k}"
     return True, f"{k - 1} level-power identities verified"

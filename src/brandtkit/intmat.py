@@ -1,13 +1,20 @@
 """Exact linear algebra on small matrices.
 
-Everything here works on plain lists of row lists.  `mat_mul` and
-`combination` take ints, Fractions or floats.  The other matrix routines
-stay in integers (HNF, Bareiss determinant and rank, rank mod p); rationals
+Everything here works on plain lists of row lists.  There are two product
+kernels.  `mat_mul` is the dense one: each entry is one builtin sum over a
+row and a column; it takes ints, Fractions or floats and serves the float
+layer and `charpoly`.  `sparse_mul` builds row i of A B as a sum of the
+rows B_t over the t with A_it != 0; it is exact for any A, and fast when
+the rows of A are sparse, as those of B(p) are (at most sigma(p) nonzeros
+per row), so the Brandt identity battery uses it.  `combination` takes
+ints, Fractions or floats as well.  The other matrix routines stay in
+integers (HNF, Bareiss determinant and rank, rank mod p); rationals
 remain only in `charpoly` and the polynomial helpers over Q.  Matrices run
 from 4x4 up to 171x84 (one class's theta rows at N = 1009).
 """
 
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 
@@ -19,6 +26,26 @@ def mat_mul(A, B):
     """A B: entry (i, j) is the builtin sum of A_it B_tj over t = 0, 1, ..."""
     cols = list(zip(*B))
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
+def sparse_mul(A, B):
+    """A B with row i the sum of A_it B_t over the t with A_it != 0.
+
+    Exact for any A; the cost grows with the nonzeros of A, not with its
+    size, so the sparse factor goes on the left.  The selected rows, each
+    scaled unless A_it = 1, are summed column by column in one pass.
+    """
+    width = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        terms = [Bt if a == 1 else [a * x for x in Bt]
+                 for a, Bt in compress(zip(row, B), row)]
+        out.append(list(map(sum, zip(*terms))) if terms else [0] * width)
+    return out
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)]
 
 
 def combination(coeffs, mats):
@@ -101,36 +128,27 @@ def mat_det(rows):
 
 
 def exact_rank(rows):
-    """Rank over Q of an integer matrix, by fraction-free Bareiss elimination."""
-    a = [[int(x) for x in r] for r in rows]
-    if not a:
-        return 0
-    nr, nc = len(a), len(a[0])
-    rank = 0
-    row = 0
-    prev = 1
-    for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if a[r][col]:
-                piv = r
-                break
+    """Rank over Q of an integer matrix, by fraction-free Bareiss elimination.
+
+    The rows not yet used as pivots are kept from the current column on.
+    Each pivot row is taken out, and each remaining row is updated as one
+    list operation over the columns to the right of the pivot.
+    """
+    a = [list(map(int, r)) for r in rows]
+    rank, prev, col = 0, 1, 0
+    while a and col < len(a[0]):
+        piv = next((k for k, r in enumerate(a) if r[col]), None)
         if piv is None:
+            col += 1
             continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        for r in range(row + 1, nr):
-            arc = a[r][col]
-            for c2 in range(col + 1, nc):
-                # Sylvester identity: this division is exact
-                a[r][c2] = (a[r][c2] * pv - arc * a[row][c2]) // prev
-            a[r][col] = 0
-        prev = pv
-        rank += 1
-        row += 1
-        if row == nr:
-            break
+        prow = a.pop(piv)
+        pv, tail = prow[col], prow[col + 1:]
+        for k, r in enumerate(a):
+            f = r[col]
+            # Sylvester identity: this division is exact
+            a[k] = [(x * pv - f * y) // prev
+                    for x, y in zip(r[col + 1:], tail)]
+        rank, prev, col = rank + 1, pv, 0
     return rank
 
 

@@ -13,7 +13,8 @@ from itertools import chain
 
 from .brandt import structural_checks
 from .quatalg import is_prime
-from .report import exact_rho, theta_rank
+from .report import exact_rho, theta_ranks
+from .spectral import sturm_bound
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -176,7 +177,8 @@ def _check_values(record):
 def load_record(path):
     """The record at path; MigrationError on another schema, ValueError
     when a field that verify_record reads is missing, misshapen or holds
-    a value of the wrong type."""
+    a value of the wrong type, or when coeff_bound is below the Sturm
+    bound of the level."""
     with open(path) as fh:
         record = json.load(fh)
     if not isinstance(record, dict):
@@ -193,6 +195,11 @@ def load_record(path):
             value = value[key]
     _check_values(record)
     bound = record["coeff_bound"]
+    least = sturm_bound(record["level"])
+    if bound < least:
+        # the ranks of a shorter prefix are not the theta dimensions
+        raise ValueError(f"record has coeff_bound {bound}, below the Sturm "
+                         f"bound {least} of level {record['level']}")
     if bound > len(record["brandt"]):
         raise ValueError(f"record has {len(record['brandt'])} Brandt "
                          f"matrices for coeff_bound {bound}")
@@ -228,16 +235,16 @@ def verify_record(record):
         f"sum 1/w = {mass}, (N-1)/12 = {Fraction(N - 1, 12)}")
     add("mass-field", parse_frac(record["mass"]) == mass, record["mass"])
 
-    b0 = [[parse_frac(x) for x in row] for row in record["b0"]]
+    # each distinct string of a row is parsed once
     add("b0-entries",
-        all(b0[i][j] == Fraction(1, 2 * w[i])
-            for i in range(n) for j in range(n)),
+        all(set(map(parse_frac, set(row))) == {Fraction(1, 2 * wi)}
+            for row, wi in zip(record["b0"], w)),
         "entries 1/(2w_i)")
 
     results.extend(structural_checks(N, w, bound, brandt))
 
     series = [brandt[m] for m in range(1, bound + 1)]
-    dims = [theta_rank(series, n, i) for i in range(n)]
+    dims = theta_ranks(series, n)
     add("theta-dims", dims == record["theta"]["dims"],
         f"recomputed dims {dims}")
 

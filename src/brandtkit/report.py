@@ -33,38 +33,63 @@ SIGMA_TOL = 1e-6
 SERIES_TOL = 1e-6
 
 
-def theta_rank(mats, n, i):
-    """Rank over Q of the n x M integer matrix whose row j holds the
-    coefficients B(1)_ij .. B(M)_ij of theta_ij, mats = [B(1), .., B(M)]."""
-    return exact_rank([[B[i][j] for B in mats] for j in range(n)])
+def _theta_rows(mats, i):
+    """Rows of the n x M integer matrix X_i, mats = [B(1), .., B(M)]:
+    row j holds the coefficients B(1)_ij .. B(M)_ij of theta_ij."""
+    return list(zip(*[B[i] for B in mats]))
+
+
+def theta_ranks(mats, n):
+    """Ranks over Q of X_1 .. X_n, mats = [B(1), .., B(M)]: the exact
+    dimensions of the n theta spaces.
+
+    The rank of X_i depends only on its set of distinct rows, so each
+    distinct set is eliminated once, without its duplicate rows.  B(N)
+    commutes with every B(m), so for the level involution sigma,
+    X_sigma(i) is a row permutation of X_i, and a class fixed by sigma has
+    rows j and sigma(j) equal.  Nothing here trusts sigma: rows merge only
+    when they are equal as integer rows.
+    """
+    ranks = {}
+    out = []
+    for i in range(n):
+        rows = list(dict.fromkeys(_theta_rows(mats, i)))
+        key = frozenset(rows)
+        if key not in ranks:
+            ranks[key] = exact_rank(rows)
+        out.append(ranks[key])
+    return out
+
+
+def _theta_series(coll):
+    """[B(1), .., B(M)]; ValueError when M is below the Sturm bound."""
+    M = coll.bound
+    if M < sturm_bound(coll.level):
+        raise ValueError(
+            f"need at least {sturm_bound(coll.level)} coefficients, have {M}")
+    return [coll.matrix(m) for m in range(1, M + 1)]
 
 
 def dim_theta_exact(coll, i):
     """Exact dimension of the span of row i's theta series.
 
-    The theta_rank of B(1) .. B(M); constant terms are determined by the
-    rest and carry no information.
+    The rank of X_i from B(1) .. B(M) (see theta_ranks); constant terms are
+    determined by the rest and carry no information.
     """
-    M = coll.bound
-    if M < sturm_bound(coll.level):
-        raise ValueError(
-            f"need at least {sturm_bound(coll.level)} coefficients, have {M}")
-    return theta_rank([coll.matrix(m) for m in range(1, M + 1)], coll.n, i)
+    return exact_rank(_theta_rows(_theta_series(coll), i))
 
 
 def full_span_check(coll):
     """All n^2 theta series together span the full n-dimensional space.
 
     By weighted symmetry theta_ji = (w_i/w_j) theta_ij, so the n(n+1)/2
-    series with i <= j have the same span.
+    series with i <= j have the same span, and a series that occurs twice
+    (theta_sigma(i)sigma(j) = theta_ij) enters the rank once.
     """
-    M = coll.bound
-    if M < sturm_bound(coll.level):
-        raise ValueError(
-            f"need at least {sturm_bound(coll.level)} coefficients, have {M}")
-    rows = [[coll.matrix(m)[i][j] for m in range(1, M + 1)]
-            for i in range(coll.n) for j in range(i, coll.n)]
-    rank = exact_rank(rows)
+    mats = _theta_series(coll)
+    rows = dict.fromkeys(row for i in range(coll.n)
+                         for row in _theta_rows(mats, i)[i:])
+    rank = exact_rank(list(rows))
     return rank == coll.n, rank
 
 
@@ -259,7 +284,7 @@ def build_report(coll, spec, probe_seed=0):
     n = coll.n
     checks = []
 
-    dims = [dim_theta_exact(coll, i) for i in range(n)]
+    dims = theta_ranks(_theta_series(coll), n)
     sigma_sets = [sigma_set(spec, i, target=dims[i]) for i in range(n)]
     checks.append(("theta-rank-consistency",
                    all(len(sigma_sets[i]) == dims[i] for i in range(n)),

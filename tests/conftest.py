@@ -3,7 +3,7 @@ import pytest
 import brandtkit.brandt as brandt
 import brandtkit.ideals as ideals
 from brandtkit.analysis import analyze
-from brandtkit.intmat import mat_mul
+from brandtkit.intmat import sparse_mul
 
 _cache = {}
 
@@ -25,15 +25,16 @@ def pipeline():
 
 
 @pytest.fixture
-def mat_mul_calls(monkeypatch):
-    """A list that grows by one for each mat_mul made in brandtkit.brandt."""
+def product_calls(monkeypatch):
+    """A list that grows by one for each matrix product made in
+    brandtkit.brandt, all of which go through sparse_mul."""
     calls = []
 
     def counted(A, B):
         calls.append(1)
-        return mat_mul(A, B)
+        return sparse_mul(A, B)
 
-    monkeypatch.setattr(brandt, "mat_mul", counted)
+    monkeypatch.setattr(brandt, "sparse_mul", counted)
     return calls
 
 

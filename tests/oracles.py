@@ -45,6 +45,47 @@ def rational_rank(rows):
     return rank
 
 
+def bareiss_rank(rows):
+    """Rank over Q by fraction-free Bareiss elimination, one entry at a
+    time, rows swapped into place (the library kernel before its rows
+    were updated as list operations)."""
+    a = [[int(x) for x in r] for r in rows]
+    if not a:
+        return 0
+    nr, nc = len(a), len(a[0])
+    rank = 0
+    row = 0
+    prev = 1
+    for col in range(nc):
+        piv = None
+        for r in range(row, nr):
+            if a[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+        pv = a[row][col]
+        for r in range(row + 1, nr):
+            arc = a[r][col]
+            for c2 in range(col + 1, nc):
+                a[r][c2] = (a[r][c2] * pv - arc * a[row][c2]) // prev
+            a[r][col] = 0
+        prev = pv
+        rank += 1
+        row += 1
+        if row == nr:
+            break
+    return rank
+
+
+def theta_rank(mats, n, i):
+    """Rank of the n x M matrix whose row j holds B(1)_ij .. B(M)_ij,
+    mats = [B(1), .., B(M)], every row kept, by bareiss_rank."""
+    return bareiss_rank([[B[i][j] for B in mats] for j in range(n)])
+
+
 def rational_det(rows):
     a = [[Fraction(x) for x in row] for row in rows]
     n = len(a)

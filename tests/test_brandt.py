@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 import oracles
-from brandtkit.brandt import (BrandtCollection, check_commutativity,
-                              check_weighted_row_sums, structural_checks)
+from brandtkit.brandt import (BrandtCollection, check_column_sums,
+                              check_commutativity, check_weighted_row_sums,
+                              check_weighted_symmetry, structural_checks)
 from brandtkit.ideals import ClassList, enumerate_classes, ideal_inverse
 from brandtkit.intmat import mat_mul
 from brandtkit.lattices import product_lattice
@@ -205,7 +207,7 @@ def diag(*entries):
             for i, x in enumerate(entries)]
 
 
-def test_commutativity_falls_back_when_every_t_is_derogatory(mat_mul_calls):
+def test_commutativity_falls_back_when_every_t_is_derogatory(product_calls):
     # every T_k has the double eigenvalue of classes 1 and 2, so no vector
     # is cyclic and the pairwise loop decides
     mats = {1: diag(1, 1, 1), 2: diag(1, 1, 2), 3: diag(2, 2, 1),
@@ -213,7 +215,8 @@ def test_commutativity_falls_back_when_every_t_is_derogatory(mat_mul_calls):
     ok, detail = check_commutativity(7, [1, 1, 1], 6, mats)
     assert ok and detail == ("4 prime-index matrices commute pairwise, "
                              "1 products B(m) = B(q) B(m/q) verified")
-    assert len(mat_mul_calls) == 4 * 3 + 1
+    # 2 products per pair, and B(6) = B(2) B(3)
+    assert len(product_calls) == 4 * 3 + 1
 
 
 def test_commutativity_names_the_failing_pair_after_the_certificate():
@@ -234,6 +237,67 @@ def test_weighted_row_sums_detail_is_the_rational_sum():
     s = sum(Fraction(mats[2][1][j], w[j]) for j in range(coll.n))
     ok, detail = check_weighted_row_sums(coll.level, w, coll.bound, mats)
     assert not ok and detail == f"failed at m=2, row 2: weighted sum is {s}"
+
+
+def first_entry_failures(level, weights, mats):
+    """The first failing m and entry, column or row of weighted symmetry,
+    column sums and weighted row sums, found entry by entry, or None."""
+    n = len(weights)
+    asym = cols = rows = None
+    for m, B in sorted(mats.items()):
+        target = sigma_level(m, level)
+        for i in range(n):
+            for j in range(n):
+                if (asym is None
+                        and weights[i] * B[i][j] != weights[j] * B[j][i]):
+                    asym = (m, i, j)
+            if cols is None and sum(B[k][i] for k in range(n)) != target:
+                cols = (m, i)
+            s = sum(Fraction(B[i][j], weights[j]) for j in range(n))
+            if rows is None and s != Fraction(target, weights[i]):
+                rows = (m, i, s)
+    return asym, cols, rows
+
+
+def test_entry_checks_name_the_first_failure():
+    coll = collection_for(61, bound=8)
+    args = (coll.level, coll.weights, coll.bound)
+    rng = random.Random(37)
+    seen = []
+    for _ in range(60):
+        mats = {m: [row[:] for row in B]
+                for m, B in stored_matrices(coll).items()}
+        for _ in range(2):
+            B = mats[rng.choice(sorted(mats))]
+            B[rng.randrange(coll.n)][rng.randrange(coll.n)] += rng.choice(
+                [-2, -1, 1, 3])
+        asym, cols, rows = first_entry_failures(coll.level, coll.weights,
+                                                mats)
+        seen.append((asym, cols, rows))
+        ok, detail = check_weighted_symmetry(*args, mats)
+        if asym is None:
+            assert ok
+        else:
+            m, i, j = asym
+            assert not ok and detail == (
+                f"failed at m={m}, (i,j)=({i + 1},{j + 1})")
+        ok, detail = check_column_sums(*args, mats)
+        if cols is None:
+            assert ok
+        else:
+            m, j = cols
+            assert not ok and detail == (
+                f"column {j + 1} of B({m}) does not sum to "
+                f"{sigma_level(m, coll.level)}")
+        ok, detail = check_weighted_row_sums(*args, mats)
+        if rows is None:
+            assert ok
+        else:
+            m, i, s = rows
+            assert not ok and detail == (
+                f"failed at m={m}, row {i + 1}: weighted sum is {s}")
+    # each check failed in most draws, often at two places
+    assert all(sum(f[k] is not None for f in seen) > 40 for k in range(3))
 
 
 @pytest.mark.parametrize("N", [37, 101, 139])

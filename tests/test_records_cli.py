@@ -14,6 +14,7 @@ from brandtkit.quatalg import ConsistencyError, ConstructionError
 from brandtkit.records import (MigrationError, float_str, frac_str,
                                load_record, parse_frac, to_json,
                                verify_record, write_record)
+from brandtkit.report import theta_ranks
 from conftest import cached_analysis
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -146,6 +147,29 @@ def test_verify_bad_value_exits_2(path, value, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "cannot read record" in proc.stderr
+
+
+def test_verify_refuses_a_bound_below_sturm(tmp_path, capsys):
+    # the 101 record cut to B(1), B(2) and B(101), with dims set to the
+    # ranks of that 2-coefficient prefix (the theta dimensions are 8 and 9)
+    # and the Sigma sets cut to match: every check passes on it, but its
+    # dims are ranks of truncated series
+    record = json.loads(to_json(cached_analysis(101).record))
+    n = record["class_number"]
+    record["coeff_bound"] = 2
+    record["brandt"] = {m: record["brandt"][m] for m in ("1", "2", "101")}
+    series = [record["brandt"]["1"], record["brandt"]["2"]]
+    record["theta"]["dims"] = dims = theta_ranks(series, n)
+    assert dims == [2] * n
+    record["theta"]["sigma_sets"] = [s[:2] for s in
+                                     record["theta"]["sigma_sets"]]
+    assert all(ok for _, ok, _ in verify_record(record))
+    path = tmp_path / "truncated.json"
+    write_record(record, path)
+    with pytest.raises(ValueError, match="below the Sturm bound 18"):
+        load_record(path)
+    assert main(["verify", str(path)]) == 2
+    assert "cannot read record" in capsys.readouterr().err
 
 
 def test_old_tool_version_record_verifies(capsys):

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import enumerate_classes
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
 from brandtkit.report import (SERIES_TOL, atkin_lehner_rho, build_report,
                               dim_theta_exact, exact_rho, full_span_check,
-                              hecke_field_probe, sigma_set,
+                              hecke_field_probe, sigma_set, theta_ranks,
                               verify_expansion_identities)
-from brandtkit.spectral import eigendecompose, sigma_level
+from brandtkit.spectral import eigendecompose, sigma_level, sturm_bound
 
 _cache = {}
 
@@ -266,6 +267,16 @@ def test_probe_product_verdict_level_401():
     assert verdict == "product", detail
     assert detail == ("rho = 12: idempotents (1 +- B(N))/2 split the kernel "
                       "into degrees 21 and 12")
+
+
+def test_theta_ranks_level_401():
+    # above the tested range, with the default coefficient bound
+    coll, _ = pipeline(401, bound=sturm_bound(401) + 2)
+    series = [coll.matrix(m) for m in range(1, coll.bound + 1)]
+    dims = theta_ranks(series, coll.n)
+    assert dims == [oracles.theta_rank(series, coll.n, i)
+                    for i in range(coll.n)]
+    assert dims == [dim_theta_exact(coll, i) for i in range(coll.n)]
 
 
 def test_build_report_level_11():

@@ -16,9 +16,14 @@ import os
 
 import pytest
 
+import brandtkit.report as report
+import oracles
 from brandtkit.brandt import check_commutativity
+from brandtkit.cli import main
+from brandtkit.intmat import exact_rank
 from brandtkit.quatalg import is_prime
 from brandtkit.records import to_json, verify_record
+from brandtkit.report import full_span_check, theta_ranks
 from conftest import cached_analysis
 
 DATA_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -48,15 +53,22 @@ def test_record_matches_stored(N):
         assert got[key] == want[key], (N, key)
 
 
-def test_every_stored_record_verifies():
+def test_every_stored_record_verifies(tmp_path, capsys):
+    # also through the CLI, as perfbench's verify-replay runs them: parser,
+    # load_record and printing
     assert len(STORED) == 36
     for N, text in sorted(STORED.items()):
         failed = [name for name, ok, _ in verify_record(json.loads(text))
                   if not ok]
         assert not failed, (N, failed)
+        path = tmp_path / f"level-{N}.json"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 0, N
+        assert capsys.readouterr().out.endswith(
+            f"record for level {N} verified\n"), N
 
 
-def test_commutativity_certificate_runs_at_level_307(mat_mul_calls):
+def test_commutativity_certificate_runs_at_level_307(product_calls):
     # at 307 B(2) is derogatory, so T_2 = B(2) + 2 B(3) carries the
     # certificate: two products per prime index, not one per pair
     record = json.loads(STORED[307])
@@ -67,4 +79,55 @@ def test_commutativity_certificate_runs_at_level_307(mat_mul_calls):
     assert ok, detail
     products = int(detail.split(", ")[1].split()[0])
     assert len(primes) == 17  # the pairwise loop makes 272 products
-    assert len(mat_mul_calls) <= 2 * len(primes) + products
+    assert len(product_calls) <= 2 * len(primes) + products
+
+
+class RecordCollection:
+    """The parts of a BrandtCollection that the theta ranks read, taken
+    from a stored record."""
+
+    def __init__(self, record):
+        self.level = record["level"]
+        self.n = record["class_number"]
+        self.bound = record["coeff_bound"]
+        self._mats = {int(m): B for m, B in record["brandt"].items()}
+
+    def matrix(self, m):
+        return self._mats[m]
+
+    def series(self):
+        return [self._mats[m] for m in range(1, self.bound + 1)]
+
+
+def test_theta_ranks_match_per_class_bareiss():
+    for N, text in sorted(STORED.items()):
+        coll = RecordCollection(json.loads(text))
+        series, n = coll.series(), coll.n
+        assert theta_ranks(series, n) == [
+            oracles.theta_rank(series, n, i) for i in range(n)], N
+
+
+def test_theta_ranks_eliminate_each_distinct_row_set_once(monkeypatch):
+    # at 307 the level involution pairs up classes, so 16 of the 26 row
+    # sets are distinct
+    eliminated = []
+
+    def counted(rows):
+        eliminated.append(len(rows))
+        return exact_rank(rows)
+
+    monkeypatch.setattr(report, "exact_rank", counted)
+    coll = RecordCollection(json.loads(STORED[307]))
+    dims = theta_ranks(coll.series(), coll.n)
+    assert dims == json.loads(STORED[307])["theta"]["dims"]
+    assert len(eliminated) == 16 and max(eliminated) <= 26
+
+
+@pytest.mark.parametrize("N", [37, 101, 197, 307])
+def test_full_span_check_matches_the_rank_with_duplicates(N):
+    coll = RecordCollection(json.loads(STORED[N]))
+    series = coll.series()
+    rows = [[B[i][j] for B in series]
+            for i in range(coll.n) for j in range(i, coll.n)]
+    rank = exact_rank(rows)
+    assert full_span_check(coll) == (rank == coll.n, rank)
