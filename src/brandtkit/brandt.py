@@ -1,4 +1,4 @@
-"""Brandt matrices and theta series.
+"""Brandt matrices: the q-coefficients of the theta series of the classes.
 
 With classes I_1..I_n and weights w_i, entry (i,j) of B(m) counts the
 vectors of normalized norm m in M_ij = I_j^-1 I_i, divided by 2w_i.  The
@@ -14,8 +14,8 @@ looks the class up, with the exact equivalence test run only against the
 classes that share the theta-prefix key of P I_i.  When N <= M it comes
 from the counts like every other B(m).
 
-theta_ij(q) = 1/(2 w_i) + sum_m B(m)_ij q^m, and column j of the B(m) family
-collects the coefficients of the n theta series attached to I_j.
+theta_ij(q) = 1/(2 w_i) + sum_m B(m)_ij q^m: B(0) = b0() holds the constant
+terms, and a BrandtCollection stores B(1)..B(M) and B(N), nothing else.
 
 structural_checks, the one battery of Brandt identities, takes {m: B(m)}:
 analyze runs it on a BrandtCollection, verify on a stored record.
@@ -41,25 +41,6 @@ def sigma_level(m, N):
     return s
 
 
-class ThetaSeries:
-    """Constant plus integer q-coefficients of one theta_ij."""
-
-    def __init__(self, constant, coefficients):
-        self.constant = Fraction(constant)
-        self.coefficients = list(coefficients)  # index m-1 holds q^m
-
-    def coefficient(self, m):
-        if m == 0:
-            return self.constant
-        return Fraction(self.coefficients[m - 1])
-
-    def __repr__(self):
-        head = [f"{self.constant}"]
-        for m, c in enumerate(self.coefficients[:8], start=1):
-            head.append(f"{c}q^{m}")
-        return "ThetaSeries(" + " + ".join(head) + " + ...)"
-
-
 class BrandtCollection:
     """All Brandt matrices of one level up to a coefficient bound M,
     plus B(N) itself (needed for the Atkin-Lehner involution)."""
@@ -77,17 +58,12 @@ class BrandtCollection:
         counts = {}
         for i in range(self.n):
             for j in range(i, self.n):
-                counts[i, j] = counts[j, i] = self._module(i, j).counts_up_to(
-                    self.bound)
+                counts[i, j] = counts[j, i] = self.classes.translation_module(
+                    i, j).counts_up_to(self.bound)
         for m in range(1, self.bound + 1):
-            self._matrices[m] = self._assemble(
-                lambda i, j: counts[i, j].get(m, 0))
+            self._matrices[m] = self._assemble(counts, m)
         if self.level > self.bound:
             self._matrices[self.level] = self._level_matrix()
-
-    def _module(self, i, j):
-        """M_ij up to a scalar and conjugation: the module with i <= j."""
-        return self.classes.translation_module(min(i, j), max(i, j))
 
     def _level_matrix(self):
         """B(N): row i has its one 1 at the class of P I_i."""
@@ -102,14 +78,15 @@ class BrandtCollection:
             out.append([int(k == j) for k in range(self.n)])
         return out
 
-    def _assemble(self, count):
-        """B(m) from count(i, j) = #{x in M_ij : normalized norm m}."""
+    def _assemble(self, counts, m):
+        """B(m) from counts[i, j] = {norm: #vectors of M_ij of that
+        normalized norm}."""
         out = []
         for i in range(self.n):
             wi2 = 2 * self.weights[i]
             row = []
             for j in range(self.n):
-                cnt = count(i, j)
+                cnt = counts[i, j].get(m, 0)
                 q, r = divmod(cnt, wi2)
                 if r:
                     raise ConsistencyError(
@@ -119,12 +96,7 @@ class BrandtCollection:
         return out
 
     def matrix(self, m):
-        """B(m); anything outside the precomputed range is counted on demand."""
-        if m == 0:
-            return self.b0()
-        if m not in self._matrices:
-            self._matrices[m] = self._assemble(
-                lambda i, j: self._module(i, j).count_vectors(m))
+        """B(m) for a stored m: 1..bound and the level."""
         return self._matrices[m]
 
     def b0(self):
@@ -133,15 +105,6 @@ class BrandtCollection:
 
     def available(self):
         return sorted(self._matrices)
-
-    def theta(self, i, j, bound=None):
-        bound = self.bound if bound is None else bound
-        if bound > self.bound:  # one sweep per module, not one per B(m)
-            for a in range(self.n):
-                for b in range(a, self.n):
-                    self._module(a, b).counts_up_to(bound)
-        coeffs = [self.matrix(m)[i][j] for m in range(1, bound + 1)]
-        return ThetaSeries(Fraction(1, 2 * self.weights[i]), coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 A lattice is stored as a primitive pair (mat, den): four HNF basis rows of
 integers over the coordinate basis 1, i, j, k, divided by a common positive
 denominator.  That representation is canonical, so lattice equality is just
-tuple equality.  The HNF rows are upper triangular, so membership is one
-back-substitution in integers: the pivots, taken column by column, fix the
-coordinates on the basis, and the element lies in the lattice exactly when
-every pivot division is exact.
+tuple equality.  Quaternions enter and leave as integer rows over the
+lattice's den: `from_rows` builds a lattice from generating rows, and
+`coordinates` writes a row on the basis.  The HNF rows are upper
+triangular, so membership is one back-substitution in integers: the
+pivots, taken column by column, fix the coordinates on the basis, and the
+row lies in the lattice exactly when every pivot division is exact.
 
 Vector counting follows the usual hybrid.  One L^2-style LLL pass decides
 its steps in floats and updates the Gram matrix by exact integer operations;
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, sqrt
 
 from .intmat import hnf
-from .quatalg import ConsistencyError, QuatElement, bilin4, mul4, norm4
+from .quatalg import ConsistencyError, bilin4, mul4, norm4
 
 
 class QuatLattice:
@@ -64,21 +66,7 @@ class QuatLattice:
             raise ValueError("generators span a rank-deficient lattice")
         return cls(alg, reduced, den)
 
-    @classmethod
-    def from_generators(cls, alg, elements):
-        """Lattice spanned by QuatElements (their Z-span must have rank 4)."""
-        den = 1
-        for e in elements:
-            for c in e.coords:
-                den = den * c.denominator // gcd(den, c.denominator)
-        rows = [[int(c * den) for c in e.coords] for e in elements]
-        return cls.from_rows(alg, rows, den)
-
     # -- basic accessors ----------------------------------------------------
-
-    def basis_elements(self):
-        return [QuatElement(self.alg, tuple(Fraction(x, self.den) for x in row))
-                for row in self.mat]
 
     def gram_int(self):
         """Integer Gram matrix of the norm form on the rows of mat
@@ -133,13 +121,6 @@ class QuatLattice:
                     rest[s] -= c * brow[s]
             coeffs.append(c)
         return coeffs
-
-    def contains(self, elem):
-        coords = elem.coords if isinstance(elem, QuatElement) else elem
-        row = [Fraction(x) * self.den for x in coords]
-        if any(x.denominator != 1 for x in row):
-            return False
-        return self.coordinates([int(x) for x in row]) is not None
 
     def scaled(self, c):
         c = Fraction(c)

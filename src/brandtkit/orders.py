@@ -12,19 +12,21 @@ picks for that class:
                              c^2 = -N mod r (Pizer's (-N, -r) basis with
                              the roles of i and j exchanged)
 
-Nothing is searched for.  The Z-span is built as a `QuatOrder`, which checks
-that it contains 1 and is integral and closed under multiplication (L L = L,
-since 1 in L gives L inside L L), and its reduced discriminant must equal N.
-A slip in a basis is therefore a loud `ConstructionError`, never a silently
-wrong order downstream.
+Each generator is written as an integer coordinate row over the one
+denominator of its class (2, 2, 4 and 2r), 1, i, j, k as den times a unit
+row, and `QuatLattice.from_rows` puts them in HNF.  Nothing is searched
+for.  The lattice is built as a `QuatOrder`, which checks in integers that
+it contains 1 and is integral and closed under multiplication (L L = L,
+since 1 in L gives L inside L L), and its reduced discriminant must equal
+N.  A slip in a basis is therefore a loud `ConstructionError`, never a
+silently wrong order downstream.
 """
 
-from fractions import Fraction
 from math import isqrt
 
 from .intmat import mat_det
 from .lattices import QuatLattice, product_lattice
-from .quatalg import ConsistencyError, ConstructionError
+from .quatalg import ConsistencyError, ConstructionError, norm4
 
 
 class QuatOrder:
@@ -34,17 +36,15 @@ class QuatOrder:
         self.alg = lattice.alg
         self.lattice = lattice
         self._disc = None
-        one = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-        if not lattice.contains(one):
+        if lattice.coordinates([lattice.den, 0, 0, 0]) is None:
             raise ConsistencyError("order does not contain 1")
         if product_lattice(lattice, lattice) != lattice:
             raise ConsistencyError("order basis is not multiplicatively closed")
-        for e in lattice.basis_elements():
-            if not e.is_integral():
+        # row r / den has trace 2 r[0] / den and norm norm4(r) / den^2
+        a, b, den = self.alg.a, self.alg.b, lattice.den
+        for r in lattice.mat:
+            if 2 * r[0] % den or norm4(a, b, r) % (den * den):
                 raise ConsistencyError("order basis is not integral")
-
-    def basis(self):
-        return self.lattice.basis_elements()
 
     def reduced_discriminant(self):
         if self._disc is None:
@@ -67,43 +67,37 @@ def reduced_discriminant(lattice):
     For an order this is a positive integer; the square root must be exact or
     the input was not what it claimed to be.
     """
-    # norm-form Gram is gram_int / den^2; the trace form is twice it
-    t = Fraction(abs(mat_det(lattice.gram_int())) * 16, lattice.den ** 8)
-    num, den = t.numerator, t.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
+    # norm-form Gram is gram_int / den^2 and the trace form is twice it, so
+    # the determinant is 16 |det gram_int| / den^8
+    t = 16 * abs(mat_det(lattice.gram_int()))
+    root = isqrt(t)
+    if root * root != t:
         raise ConsistencyError("trace form determinant is not a perfect square")
-    val = Fraction(rn, rd)
-    if val.denominator != 1:
+    disc, rem = divmod(root, lattice.den ** 4)
+    if rem:
         raise ConsistencyError("reduced discriminant is not an integer")
-    return int(val)
+    return disc
 
 
 def _pizer_basis(alg):
     """Generators of Pizer's maximal order for the residue class of the level
-    (with 1, i, j, k thrown in; they lie in every one of these orders)."""
+    as (rows, den): integer coordinate rows over the denominator den, with
+    1, i, j, k thrown in (they lie in every one of these orders)."""
     N = alg.level
-    one = alg.element(1)
-    i, j, k = alg.gens()
-    half = Fraction(1, 2)
-    gens = [one, i, j, k]
     if N == 2:
-        gens.append((one + i + j + k) * half)
+        den, rows = 2, [[1, 1, 1, 1]]
     elif N % 4 == 3:
-        gens.append((one + j) * half)
-        gens.append((i + k) * half)
+        den, rows = 2, [[1, 0, 1, 0], [0, 1, 0, 1]]
     elif N % 8 == 5:  # algebra (-2, -N)
-        gens.append((one + j + k) * half)
-        gens.append((i + 2 * j + k) * Fraction(1, 4))
+        den, rows = 4, [[2, 0, 2, 2], [0, 1, 2, 1]]
     else:  # N = 1 mod 8, algebra (-r, -N)
         r = -alg.a
         c = pow(-N % r, (r + 1) // 4, r)
         if (c * c + N) % r:
             raise ConstructionError(f"c^2 = -N mod {r} has no root")
-        gens.append((one + i) * half)
-        gens.append((j + k) * half)
-        gens.append((alg.element(0, c, 0, 1)) * Fraction(1, r))
-    return gens
+        den, rows = 2 * r, [[r, r, 0, 0], [0, 0, r, r], [0, 2 * c, 0, 2]]
+    units = [[den * (s == t) for t in range(4)] for s in range(4)]
+    return units + rows, den
 
 
 def maximal_order(alg):
@@ -112,7 +106,7 @@ def maximal_order(alg):
     if N is None:
         raise ValueError("algebra has no level attached")
     try:
-        order = QuatOrder(QuatLattice.from_generators(alg, _pizer_basis(alg)))
+        order = QuatOrder(QuatLattice.from_rows(alg, *_pizer_basis(alg)))
     except ConsistencyError as exc:
         raise ConstructionError(
             f"basis for level {N} does not span an order: {exc}") from exc

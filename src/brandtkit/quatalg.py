@@ -1,15 +1,14 @@
 """Definite rational quaternion algebras with exact arithmetic.
 
 An algebra (a,b) has basis 1, i, j, k with i^2 = a, j^2 = b, ij = k = -ji.
-Elements carry Fraction coordinates over that basis.  The reduced norm is
+A quaternion is a coordinate 4-tuple over that basis: the package keeps
+integer rows over one common denominator (see lattices), and mul4, norm4
+and bilin4 act on the rows.  The reduced norm is
 x0^2 - a*x1^2 - b*x2^2 + a*b*x3^2, positive definite for a < 0, b < 0.
 
 `construct_algebra(N)` returns the algebra ramified exactly at {N, oo} for a
 prime N, certified by Hilbert symbols rather than trusted from the recipe.
 """
-
-from fractions import Fraction
-from math import gcd
 
 OO = float("inf")  # the archimedean place
 
@@ -131,21 +130,9 @@ class QuaternionAlgebra:
     def __hash__(self):
         return hash((self.a, self.b))
 
-    def element(self, x0, x1=0, x2=0, x3=0):
-        return QuatElement(self, (Fraction(x0), Fraction(x1),
-                                  Fraction(x2), Fraction(x3)))
-
-    def one(self):
-        return self.element(1)
-
-    def gens(self):
-        i = self.element(0, 1)
-        j = self.element(0, 0, 1)
-        return i, j, i * j
-
 
 def mul4(a, b, x, y):
-    """Product of quaternions given as coordinate 4-tuples (int or Fraction)."""
+    """Product of quaternions given as coordinate 4-tuples."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
     return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
@@ -164,87 +151,6 @@ def bilin4(a, b, x, y):
     and denominator-free on integer input because the form is diagonal."""
     return (x[0] * y[0] - a * x[1] * y[1] - b * x[2] * y[2]
             + a * b * x[3] * y[3])
-
-
-def conj4(x):
-    return (x[0], -x[1], -x[2], -x[3])
-
-
-class QuatElement:
-    """A quaternion with exact rational coordinates."""
-
-    __slots__ = ("alg", "coords")
-
-    def __init__(self, alg, coords):
-        self.alg = alg
-        self.coords = tuple(Fraction(c) for c in coords)
-
-    def _compat(self, other):
-        if self.alg != other.alg:
-            raise ValueError("elements live in different quaternion algebras")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.alg.element(other)
-        self._compat(other)
-        return QuatElement(self.alg, tuple(x + y for x, y in
-                                           zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.alg.element(other)
-        self._compat(other)
-        return QuatElement(self.alg, tuple(x - y for x, y in
-                                           zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return QuatElement(self.alg, tuple(-x for x in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuatElement(self.alg, tuple(x * other for x in self.coords))
-        self._compat(other)
-        return QuatElement(self.alg,
-                           mul4(self.alg.a, self.alg.b, self.coords, other.coords))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuatElement(self.alg, tuple(other * x for x in self.coords))
-        return NotImplemented
-
-    def __truediv__(self, scalar):
-        return QuatElement(self.alg, tuple(x / Fraction(scalar) for x in self.coords))
-
-    def conjugate(self):
-        return QuatElement(self.alg, conj4(self.coords))
-
-    def reduced_trace(self):
-        return 2 * self.coords[0]
-
-    def reduced_norm(self):
-        return norm4(self.alg.a, self.alg.b, self.coords)
-
-    def inverse(self):
-        n = self.reduced_norm()
-        if n == 0:
-            raise ZeroDivisionError("zero quaternion")
-        return QuatElement(self.alg, tuple(c / n for c in conj4(self.coords)))
-
-    def is_integral(self):
-        return self.reduced_trace().denominator == 1 and \
-            self.reduced_norm().denominator == 1
-
-    def __eq__(self, other):
-        return (isinstance(other, QuatElement) and self.alg == other.alg
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.alg, self.coords))
-
-    def __repr__(self):
-        return f"QuatElement{self.coords}"
 
 
 def construct_algebra(N):

@@ -183,9 +183,10 @@ def load_record(path):
         record = json.load(fh)
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
-    if record.get("schema_version") != SCHEMA_VERSION:
+    version = record.get("schema_version")
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise MigrationError(
-            f"record has schema {record.get('schema_version')!r}, "
+            f"record has schema {version!r}, "
             f"this tool reads schema {SCHEMA_VERSION}; regenerate the cache")
     for field in VERIFIED_FIELDS:
         value = record

@@ -275,9 +275,6 @@ class ThetaReport:
     def hecke_conjecture_holds(self):
         return all(d == self.n for d in self.dims)
 
-    def basis_labels(self, i):
-        return sorted(self.sigma_sets[i])
-
 
 def build_report(coll, spec, probe_seed=0):
     """Assemble the full report, reconciling numeric sets with exact ranks."""

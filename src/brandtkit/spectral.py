@@ -34,14 +34,6 @@ def sturm_bound(N):
     return (N + 1) // 6 + 1
 
 
-def augmentation(vec):
-    return sum(vec)
-
-
-def monodromy_pairing(x, y, weights):
-    return sum(w * a * b for w, a, b in zip(weights, x, y))
-
-
 def eisenstein_vector(weights):
     """The exact ray spanned by sum_i (1/w_i)[i], plus its unit vector.
 
@@ -146,22 +138,8 @@ class SpectralData:
         return len(self.weights)
 
     def character(self, k, m):
-        """Eigenvalue of B(m) on f_k; m must be stored or within the bound."""
-        if m in self.char_stored[k]:
-            return self.char_stored[k][m]
-        return self.characters[k][m - 1]
-
-    def pairing_with_class(self, i, k):
-        """([i], f_k) = w_i * (f_k)_i."""
-        return self.weights[i] * self.eigenvectors[k][i]
-
-
-def character_qexpansion(spec, k, bound=None):
-    """Coefficient list a_1..a_M of the eigenform attached to f_k."""
-    row = spec.characters[k]
-    if bound is None:
-        return list(row)
-    return list(row[:bound])
+        """Eigenvalue of B(m) on f_k, m stored: 1..bound and the level."""
+        return self.char_stored[k][m]
 
 
 def eigendecompose(coll, seed=0):

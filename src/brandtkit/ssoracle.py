@@ -45,9 +45,6 @@ class QuadField:
         N = self.N
         return (a * x[0] % N, a * x[1] % N)
 
-    def conj(self, x):
-        return (x[0], (self.N - x[1]) % self.N)
-
 
 def curve_from_j(F, j):
     """Coefficients (A, B) of a curve y^2 = x^3 + Ax + B with invariant j."""

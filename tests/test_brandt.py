@@ -34,7 +34,7 @@ def permuted(B, perm):
 
 
 def test_b3_level_11_matches_published_matrix():
-    coll = collection_for(11)
+    coll = collection_for(11, bound=3)
     B3 = coll.matrix(3)
     # align classes by weight: the published matrix has (w1, w2) = (2, 3)
     perm = sorted(range(2), key=lambda i: coll.weights[i])
@@ -42,7 +42,7 @@ def test_b3_level_11_matches_published_matrix():
 
 
 def test_b3_level_37_permutation_equivalent_to_published():
-    B3 = collection_for(37).matrix(3)
+    B3 = collection_for(37, bound=3).matrix(3)
     target = [[2, 1, 1], [1, 0, 3], [1, 3, 0]]
     assert any(permuted(B3, p) == target for p in permutations(range(3)))
 
@@ -72,7 +72,7 @@ def test_structural_battery():
 
 
 def test_column_sums_are_sigma():
-    coll = collection_for(37)
+    coll = collection_for(37, bound=74)
     for m in (1, 2, 3, 4, 5, 6, 12, 37, 74):
         B = coll.matrix(m)
         for j in range(coll.n):
@@ -81,7 +81,7 @@ def test_column_sums_are_sigma():
 
 
 def test_weighted_symmetry_exact():
-    coll = collection_for(11)
+    coll = collection_for(11, bound=11)
     w = coll.weights
     for m in range(1, 12):
         B = coll.matrix(m)
@@ -91,7 +91,7 @@ def test_weighted_symmetry_exact():
 
 
 def test_hecke_recursion_away_from_level():
-    coll = collection_for(11)
+    coll = collection_for(11, bound=8)
     B2 = coll.matrix(2)
     B4 = coll.matrix(4)
     B8 = coll.matrix(8)
@@ -104,7 +104,7 @@ def test_hecke_recursion_away_from_level():
 
 
 def test_multiplicative_coprime_indices():
-    coll = collection_for(11)
+    coll = collection_for(11, bound=6)
     assert mat_mul(coll.matrix(2), coll.matrix(3)) == coll.matrix(6)
 
 
@@ -116,45 +116,23 @@ def test_level_matrix_involution():
         assert all(x in (0, 1) for row in BN for x in row)
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
         assert mat_mul(BN, BN) == ident
-        assert coll.matrix(N * N) == ident
-
-
-def test_theta_series_symmetry():
-    # w_i theta_ij = w_j theta_ji as q-series; at N=11: 2 theta_12 = 3 theta_21
-    coll = collection_for(11, bound=9)
-    w = coll.weights
-    t12 = coll.theta(0, 1, 9)
-    t21 = coll.theta(1, 0, 9)
-    assert w[0] * t12.constant == w[1] * t21.constant
-    for m in range(1, 10):
-        assert w[0] * t12.coefficient(m) == w[1] * t21.coefficient(m)
+        if N == 43:  # counting B(43^2) takes seconds; the read-off B(43)
+            continue  # is pinned by test_level_matrix_needs_every_class
+        # B(N^2) = B(N)^2 = I, counted from the translation modules
+        classes, w = coll.classes, coll.weights
+        counted = [[classes.translation_module(min(i, j), max(i, j))
+                    .count_vectors(N * N) // (2 * w[i]) for j in range(n)]
+                   for i in range(n)]
+        assert counted == ident
 
 
 def test_theta_constant_term():
-    coll = collection_for(37, bound=5)
+    # theta_i1(q) = 1/(2 w_i) + [i = 1] q + ..., classes counted from 1:
+    # the first column of B(0) and of B(1)
+    coll = collection_for(37)
     for i in range(3):
-        t = coll.theta(i, 0, 5)
-        assert t.constant == Fraction(1, 2 * coll.weights[i])
-        assert t.coefficient(1) == (1 if i == 0 else 0)
-
-
-def test_theta_past_stored_range_sweeps_each_module_once(monkeypatch):
-    import brandtkit.lattices as lattices
-
-    coll = collection_for(11)
-    calls = []
-    count = lattices._count_by_value
-
-    def counted(*args):
-        calls.append(args)
-        return count(*args)
-
-    monkeypatch.setattr(lattices, "_count_by_value", counted)
-    theta = coll.theta(0, 0, 60)
-    assert len(calls) <= coll.n * (coll.n + 1) // 2
-    counts = coll.classes.translation_module(0, 0).counts_up_to(60)
-    assert theta.coefficients == [counts.get(m, 0) // (2 * coll.weights[0])
-                                  for m in range(1, 61)]
+        assert coll.b0()[i][0] == Fraction(1, 2 * coll.weights[i])
+        assert coll.matrix(1)[i][0] == (1 if i == 0 else 0)
 
 
 def test_cusp_form_as_theta_difference():

@@ -29,11 +29,17 @@ def test_maximal_order_discriminant():
         assert order.reduced_discriminant() == N
 
 
+# Z<1, i, j, k, (1 + j + k)/2> as integer rows over the denominator 2
+UNCLOSED_SEED = ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2],
+                  [1, 0, 1, 1]], 2)
+LIPSCHITZ = ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1)
+
+
 @pytest.mark.parametrize("N, basis", [
     # Z<1, i, j, k, (1 + j + k)/2>: reduced discriminant 4N, not closed
-    (13, lambda alg: [alg.element(1), *alg.gens(), alg.element(1, 0, 1, 1) / 2]),
+    (13, lambda alg: UNCLOSED_SEED),
     # the Lipschitz order Z<1, i, j, k>: an order of discriminant 4N
-    (11, lambda alg: [alg.element(1), *alg.gens()]),
+    (11, lambda alg: LIPSCHITZ),
 ], ids=["unclosed-seed", "lipschitz-order"])
 def test_non_maximal_basis_is_refused(monkeypatch, N, basis):
     monkeypatch.setattr(orders, "_pizer_basis", basis)
@@ -43,8 +49,7 @@ def test_non_maximal_basis_is_refused(monkeypatch, N, basis):
 
 @pytest.mark.parametrize("N, lattice, message", [
     (11, lambda O: O.lattice.scaled(2), "order does not contain 1"),
-    (13, lambda O: QuatLattice.from_generators(O.alg, [
-        O.alg.element(1), *O.alg.gens(), O.alg.element(1, 0, 1, 1) / 2]),
+    (13, lambda O: QuatLattice.from_rows(O.alg, *UNCLOSED_SEED),
      "order basis is not multiplicatively closed"),
 ], ids=["twice-the-order", "unclosed-seed"])
 def test_order_checks_refuse(N, lattice, message):

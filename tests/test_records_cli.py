@@ -96,6 +96,18 @@ def test_schema_mismatch_raises(tmp_path):
     assert main(["verify", str(path)]) == 2
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_schema_version_must_be_an_int(version, tmp_path):
+    # true == 1.0 == 1 in Python, but neither is the integer schema 1
+    record = json.loads(to_json(cached_analysis(11).record))
+    record["schema_version"] = version
+    path = tmp_path / "version.json"
+    write_record(record, path)
+    with pytest.raises(MigrationError):
+        load_record(path)
+    assert main(["verify", str(path)]) == 2
+
+
 @pytest.mark.parametrize("missing", ["brandt", "brandt-2"])
 def test_verify_malformed_record_exits_2(missing, tmp_path, capsys):
     record = json.loads(to_json(cached_analysis(11).record))

@@ -288,7 +288,7 @@ def test_build_report_level_11():
     assert rep.frobenius_fixed == [1, 2]
     assert rep.field_verdict == "field"
     assert all(ok for _, ok, _ in rep.checks)
-    assert rep.basis_labels(0) == [1, 2]
+    assert sorted(rep.sigma_sets[0]) == [1, 2]
 
 
 def test_build_report_level_37():
@@ -300,7 +300,7 @@ def test_build_report_level_37():
     assert rep.rho == 1
     assert rep.frobenius_fixed == [star + 1]
     assert rep.field_verdict == "product"
-    assert rep.basis_labels(star) == [2, 3]
+    assert sorted(rep.sigma_sets[star]) == [2, 3]
     assert all(ok for _, ok, _ in rep.checks)
     names = [name for name, _, _ in rep.checks]
     assert "field-verdict-dimensions" not in names

@@ -12,11 +12,10 @@ from brandtkit.intmat import (charpoly, combination, exact_rank, mat_det,
                               mat_mul, rank_mod)
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
-from brandtkit.spectral import (RESIDUAL_TOL, augmentation,
-                                character_qexpansion, eigendecompose,
+from brandtkit.spectral import (RESIDUAL_TOL, eigendecompose,
                                 eisenstein_exact_check, eisenstein_vector,
-                                jacobi_eigensystem, monodromy_pairing,
-                                sigma_level, sturm_bound, symmetrize)
+                                jacobi_eigensystem, sigma_level, sturm_bound,
+                                symmetrize)
 from conftest import cached_analysis
 
 _colls = {}
@@ -222,7 +221,7 @@ def test_eisenstein_vector_closed_form():
     assert [x.denominator for x in exact] == [2, 3]
     assert abs(unit[0] - 3.0 / sqrt(30.0)) < 1e-12
     assert abs(unit[1] - 2.0 / sqrt(30.0)) < 1e-12
-    assert abs(monodromy_pairing(unit, unit, [2, 3]) - 1.0) < 1e-12
+    assert abs(sum(w * x * x for w, x in zip([2, 3], unit)) - 1.0) < 1e-12
 
 
 def test_eisenstein_exact_check_detects_corruption():
@@ -259,8 +258,8 @@ def test_spectral_invariants():
         # pairing-orthonormal frame
         for a in range(n):
             for b in range(a, n):
-                dot = monodromy_pairing(spec.eigenvectors[a],
-                                        spec.eigenvectors[b], spec.weights)
+                dot = sum(w * x * y for w, x, y in zip(
+                    spec.weights, spec.eigenvectors[a], spec.eigenvectors[b]))
                 assert abs(dot - (1.0 if a == b else 0.0)) < 1e-7
         _, eis = eisenstein_vector(spec.weights)
         assert spec.eigenvectors[n - 1] == eis
@@ -279,18 +278,16 @@ def test_spectral_invariants():
 
 def test_cusp_form_prefix_level_11():
     spec = eigendecompose(collection(11), seed=0)
-    got = [round(x) for x in character_qexpansion(spec, 0, 9)]
+    got = [round(x) for x in spec.characters[0][:9]]
     assert got == [1, -2, -1, 2, 1, 2, -2, 0, -2]
-    assert max(abs(a - r) for a, r in
-               zip(character_qexpansion(spec, 0, 9), got)) < 1e-8
-    eis = [round(x) for x in character_qexpansion(spec, 1, 9)]
+    assert max(abs(a - r) for a, r in zip(spec.characters[0][:9], got)) < 1e-8
+    eis = [round(x) for x in spec.characters[1][:9]]
     assert eis == [1, 3, 4, 7, 6, 12, 8, 15, 13]
 
 
 def test_cusp_form_prefixes_level_37():
     spec = eigendecompose(collection(37), seed=0)
-    rows = [[round(x) for x in character_qexpansion(spec, k, 9)]
-            for k in range(3)]
+    rows = [[round(x) for x in spec.characters[k][:9]] for k in range(3)]
     assert rows[0] == [1, -2, -3, 2, -2, 6, -1, 0, 6]
     assert rows[1] == [1, 0, 1, -2, 0, 0, -1, 0, -2]
     assert rows[2] == [1, 3, 4, 7, 6, 12, 8, 15, 13]
@@ -353,16 +350,5 @@ def test_single_class_shortcut():
     assert spec.n == 1
     assert spec.eisenstein_index == 0
     assert spec.tn_signs == [None]
-    assert character_qexpansion(spec, 0) == \
+    assert spec.characters[0] == \
         [float(sigma_level(m, 2)) for m in range(1, 5)]
-
-
-def test_augmentation_and_pairing_helpers():
-    assert augmentation([1, 2, 3]) == 6
-    assert monodromy_pairing([1, 0], [1, 1], [2, 3]) == 2
-    coll = collection(11)
-    spec = eigendecompose(coll, seed=0)
-    for k in range(2):
-        for i in range(2):
-            want = spec.weights[i] * spec.eigenvectors[k][i]
-            assert spec.pairing_with_class(i, k) == want

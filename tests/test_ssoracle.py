@@ -133,9 +133,11 @@ def test_quadfield_axioms():
         assert F.mul(x, F.mul(y, z)) == F.mul(F.mul(x, y), z)
         assert F.mul(x, F.sub(y, z)) == F.sub(F.mul(x, y), F.mul(x, z))
         assert F.smul(5, x) == F.mul((5, 0), x)
-        assert F.conj(F.mul(x, y)) == F.mul(F.conj(x), F.conj(y))
-        assert power(F, x, 13) == F.conj(x)  # Frobenius
-        assert F.mul(x, F.conj(x))[1] == 0  # the norm lies in F_N
+        xbar = (x[0], -x[1] % 13)
+        xy = F.mul(x, y)
+        assert (xy[0], -xy[1] % 13) == F.mul(xbar, (y[0], -y[1] % 13))
+        assert power(F, x, 13) == xbar  # Frobenius
+        assert F.mul(x, xbar)[1] == 0  # the norm lies in F_N
     assert power(F, (0, 1), F.q - 1) == one
     assert power(F, (0, 1), (F.q - 1) // 2) != one  # sqrt(c) is no square
     assert F.sub(zero, one) == (12, 0)
