@@ -7,13 +7,15 @@ layer and `charpoly`.  `sparse_mul` builds row i of A B as a sum of the
 rows B_t over the t with A_it != 0; it is exact for any A, and fast when
 the rows of A are sparse, as those of B(p) are (at most sigma(p) nonzeros
 per row), so the Brandt identity battery uses it.  `combination` takes
-ints, Fractions or floats as well.  The other matrix routines stay in
-integers (HNF, Bareiss determinant and rank, rank mod p); rationals
-remain only in `charpoly` and the polynomial helpers over Q.  Matrices run
-from 4x4 up to 171x84 (one class's theta rows at N = 1009).
+ints, Fractions or floats as well.  Everything else stays in integers,
+and every exact decision is a rank: `exact_rank` (fraction-free Bareiss,
+the one elimination over Q) and `rank_mod` over F_p.  A polynomial is
+squarefree when its Sylvester matrix with its derivative has full rank,
+and irreducible mod p by Berlekamp's criterion, so no polynomial gcd is
+taken.  Matrices run from 4x4 up to 171x84 (one class's theta rows at
+N = 1009).
 """
 
-from fractions import Fraction
 from itertools import compress
 from operator import mul
 
@@ -104,29 +106,6 @@ def hnf(rows):
     return rows[:pr]
 
 
-def mat_det(rows):
-    """Determinant of a square integer matrix, by fraction-free Bareiss
-    elimination."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pv = a[k][k]
-        for r in range(k + 1, n):
-            ark = a[r][k]
-            for c in range(k + 1, n):
-                # Sylvester identity: this division is exact
-                a[r][c] = (a[r][c] * pv - ark * a[k][c]) // prev
-        prev = pv
-    return sign * a[n - 1][n - 1] if n else 1
-
-
 def exact_rank(rows):
     """Rank over Q of an integer matrix, by fraction-free Bareiss elimination.
 
@@ -181,26 +160,24 @@ def rank_mod(rows, p):
 def charpoly(rows):
     """det(xI - A) of a square integer matrix.
 
-    Faddeev-LeVerrier; the intermediate divisions are exact.  Returns integer
-    coefficients in ascending order, monic leading 1.
+    Faddeev-LeVerrier in integers: c_k = -tr(A M_(k-1))/k is a coefficient
+    of the characteristic polynomial, so the division is exact, and
+    M_k = A M_(k-1) + c_k I stays integral.  Returns the coefficients in
+    ascending order, monic leading 1.
     """
     n = len(rows)
-    if n == 0:
-        return [1]
-    A = [[Fraction(x) for x in row] for row in rows]
-    M = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]  # descending: x^n first
+    coeffs = [1]  # descending: x^n first
+    M = identity(n)
     for k in range(1, n + 1):
-        AM = mat_mul(A, M)
-        c = -sum(AM[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    out = []
-    for c in reversed(coeffs):
-        if c.denominator != 1:
+        AM = mat_mul(rows, M)
+        c, rem = divmod(-sum(AM[i][i] for i in range(n)), k)
+        if rem:
             raise ArithmeticError("characteristic polynomial came out non-integral")
-        out.append(int(c))
-    return out
+        coeffs.append(c)
+        for i in range(n):
+            AM[i][i] += c
+        M = AM
+    return coeffs[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -212,57 +189,35 @@ def poly_trim(f):
     return f
 
 
-def poly_deg(f):
-    f = poly_trim(f)
-    return len(f) - 1 if any(f) else -1
-
-
 def poly_derivative(f):
     return [i * c for i, c in enumerate(f)][1:] or [0]
 
 
-def poly_divmod_exact(f, g):
-    """Divide f by g over Q; returns (quotient, remainder) as Fractions."""
-    f = [Fraction(c) for c in poly_trim(list(f))]
-    g = [Fraction(c) for c in poly_trim(list(g))]
-    if poly_deg(g) < 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [Fraction(0)] * max(1, len(f) - len(g) + 1)
-    r = f[:]
-    dg = len(g) - 1
-    lead = g[-1]
-    while poly_deg(r) >= dg and any(r):
-        dr = poly_deg(r)
-        c = r[dr] / lead
-        q[dr - dg] = c
-        for i in range(dg + 1):
-            r[dr - dg + i] -= c * g[i]
-        r = poly_trim(r)
-    return q, poly_trim(r)
+def sylvester(f, g):
+    """Sylvester matrix of f and g, of formal degrees len(f) - 1 and
+    len(g) - 1: the rows x^s f for s < deg g, then x^s g for s < deg f.
+    Over a field it is singular exactly when f and g have a common factor
+    of positive degree, or when both leading coefficients vanish."""
+    m, n = len(f) - 1, len(g) - 1
+    return ([[0] * s + list(f) + [0] * (n - 1 - s) for s in range(n)]
+            + [[0] * s + list(g) + [0] * (m - 1 - s) for s in range(m)])
 
 
 def poly_is_squarefree(f):
-    """Squarefree over Q: gcd(f, f') is a constant."""
-    g = _poly_gcd_q(f, poly_derivative(f))
-    return poly_deg(g) == 0
+    """Squarefree over Q: the Sylvester matrix of f and f' has full rank.
 
-
-def _poly_gcd_q(f, g):
-    f = [Fraction(c) for c in poly_trim(list(f))]
-    g = [Fraction(c) for c in poly_trim(list(g))]
-    while poly_deg(g) >= 0 and any(g):
-        _, r = poly_divmod_exact(f, g)
-        f, g = g, r if any(r) else [Fraction(0)]
-        if not any(g):
-            break
-    return f
+    f' keeps its formal degree deg f - 1, so the same matrix decides the
+    question mod p as well, even where p divides deg f.  A nonzero
+    constant is squarefree, the zero polynomial is not.
+    """
+    f = poly_trim(list(f))
+    if len(f) < 2:
+        return any(f)
+    S = sylvester(f, poly_derivative(f))
+    return exact_rank(S) == len(S)
 
 
 # --- arithmetic mod a prime -------------------------------------------------
-
-def _pmod(f, p):
-    return poly_trim([c % p for c in f])
-
 
 def _polmul_mod(f, g, h, p):
     prod = [0] * (len(f) + len(g) - 1)
@@ -298,55 +253,25 @@ def _polpow_mod(base, e, h, p):
     return result
 
 
-def _polgcd_mod(f, g, p):
-    f = _pmod(f, p)
-    g = _pmod(g, p)
-    while any(g):
-        f, g = g, _polrem_mod(f, g, p)
-    return f
-
-
 def is_irreducible_mod(f, p):
-    """Rabin test: is the integer polynomial f irreducible modulo p?"""
-    f = _pmod(f, p)
-    d = poly_deg(f)
-    if d <= 0:
+    """Berlekamp's criterion: is the integer polynomial f irreducible mod p?
+
+    f mod p, of degree d >= 1, is irreducible when it is squarefree (its
+    Sylvester matrix with f' has full rank mod p) and Q - I has nullity 1,
+    where row i of Q is x^(ip) mod f: for a squarefree f that nullity is
+    the number of distinct irreducible factors (Berlekamp 1967).
+    """
+    f = poly_trim([c % p for c in f])
+    d = len(f) - 1
+    if d < 1:
         return False
-    if d == 1:
-        return True
-    if f[-1] % p == 0:
+    S = sylvester(f, poly_derivative(f))
+    if rank_mod(S, p) < len(S):
         return False
-    # distinct prime divisors of d
-    divs = []
-    dd = d
-    q = 2
-    while q * q <= dd:
-        if dd % q == 0:
-            divs.append(q)
-            while dd % q == 0:
-                dd //= q
-        q += 1
-    if dd > 1:
-        divs.append(dd)
-    x = [0, 1]
-    b = x
-    powers = {}
-    for i in range(1, d + 1):
-        b = _polpow_mod(b, p, f, p)
-        powers[i] = b
-    top = powers[d]
-    tx = list(top) + [0] * max(0, 2 - len(top))
-    tx[1] = (tx[1] - 1) % p
-    if any(poly_trim(tx)):
-        return False
-    for ell in divs:
-        bi = powers[d // ell]
-        tx = list(bi) + [0] * max(0, 2 - len(bi))
-        tx[1] = (tx[1] - 1) % p
-        tx = poly_trim(tx)
-        if not any(tx):
-            return False
-        g = _polgcd_mod(tx, f, p)
-        if poly_deg(g) > 0:
-            return False
-    return True
+    xp = _polpow_mod([0, 1], p, f, p)
+    Q, row = [], [1]
+    for i in range(d):
+        Q.append(row + [0] * (d - len(row)))
+        Q[i][i] -= 1
+        row = _polmul_mod(row, xp, f, p)
+    return rank_mod(Q, p) == d - 1

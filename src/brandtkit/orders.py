@@ -18,13 +18,14 @@ row, and `QuatLattice.from_rows` puts them in HNF.  Nothing is searched
 for.  The lattice is built as a `QuatOrder`, which checks in integers that
 it contains 1 and is integral and closed under multiplication (L L = L,
 since 1 in L gives L inside L L), and its reduced discriminant must equal
-N.  A slip in a basis is therefore a loud `ConstructionError`, never a
-silently wrong order downstream.
+N.  That discriminant is a closed form, 4 |a b| times the product of the
+HNF pivots over den^4, with no determinant taken.  A slip in a basis is
+therefore a loud `ConstructionError`, never a silently wrong order
+downstream.
 """
 
-from math import isqrt
+from math import prod
 
-from .intmat import mat_det
 from .lattices import QuatLattice, product_lattice
 from .quatalg import ConsistencyError, ConstructionError, norm4
 
@@ -62,18 +63,17 @@ class QuatOrder:
 
 
 def reduced_discriminant(lattice):
-    """sqrt |det Tr(b_i * conj(b_j))| of a lattice basis, exact.
+    """sqrt |det Tr(b_i * conj(b_j))| of a lattice basis, in closed form.
 
-    For an order this is a positive integer; the square root must be exact or
-    the input was not what it claimed to be.
+    The integer Gram matrix of the norm form is R diag(1, -a, -b, ab) R^T
+    for the triangular basis R, the norm-form Gram is that over den^2 and
+    the trace form twice it, so the root is 4 |a b prod R_rr| / den^4.  For
+    an order this is a positive integer; a remainder means the input was
+    not what it claimed to be.
     """
-    # norm-form Gram is gram_int / den^2 and the trace form is twice it, so
-    # the determinant is 16 |det gram_int| / den^8
-    t = 16 * abs(mat_det(lattice.gram_int()))
-    root = isqrt(t)
-    if root * root != t:
-        raise ConsistencyError("trace form determinant is not a perfect square")
-    disc, rem = divmod(root, lattice.den ** 4)
+    alg = lattice.alg
+    pivots = prod(row[r] for r, row in enumerate(lattice.mat))
+    disc, rem = divmod(4 * abs(alg.a * alg.b * pivots), lattice.den ** 4)
     if rem:
         raise ConsistencyError("reduced discriminant is not an integer")
     return disc

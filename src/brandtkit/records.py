@@ -176,11 +176,15 @@ def _check_values(record):
 
 def load_record(path):
     """The record at path; MigrationError on another schema, ValueError
-    when a field that verify_record reads is missing, misshapen or holds
-    a value of the wrong type, or when coeff_bound is below the Sturm
-    bound of the level."""
+    when the JSON nests too deeply to parse, when a field that
+    verify_record reads is missing, misshapen or holds a value of the
+    wrong type, or when coeff_bound is below the Sturm bound of the
+    level."""
     with open(path) as fh:
-        record = json.load(fh)
+        try:
+            record = json.load(fh)
+        except RecursionError:
+            raise ValueError("record nests too deeply to parse") from None
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
     version = record.get("schema_version")

@@ -16,9 +16,12 @@ rho = (n - tr B(N))/2.  It is the probe's first certificate: when
 algebra, which is then a product, and no charpoly is needed.  At the
 other levels the verdict is exact too: "field" by irreducibility mod p
 of a squarefree kernel charpoly, "product" by a class difference whose
-orbit under the same operator is a proper subspace.  The expansion
-identities are checked row by row: for class i, two products (intmat.mat_mul)
-evaluate both identities at every m and every column j.
+orbit under the same operator is a proper subspace.  Each of these tests
+is a rank: squarefree when the Sylvester matrix of the charpoly and its
+derivative has full rank over Q, irreducible mod p by Berlekamp's
+criterion over F_p, and the orbit's dimension by `exact_rank`.  The
+expansion identities are checked row by row: for class i, two products
+(intmat.mat_mul) evaluate both identities at every m and every column j.
 """
 
 import random
@@ -211,11 +214,13 @@ def hecke_field_probe(coll, seed=0):
     it into parts of degree n - 1 - rho and rho.  When rho is 0 or n - 1
     the probe draws up to three random operators T = sum c_p B(p) until
     the characteristic polynomial f of T on the augmentation kernel is
-    squarefree; Q[T] is then the whole cuspidal algebra, so the verdict
-    no longer depends on T.  "field" is certified by irreducibility of f
-    mod p; "product" by a class difference e_i - e_j whose T-orbit has
-    dimension r < n - 1, its minimal polynomial being an exact factor of
-    f of degree r.  Anything else is "inconclusive".
+    squarefree (its Sylvester matrix with f' has full rank); Q[T] is then
+    the whole cuspidal algebra, so the verdict no longer depends on T.
+    "field" is certified by irreducibility of f mod p (Berlekamp: f is
+    squarefree mod p and Q - I, Q the Frobenius matrix, has nullity 1);
+    "product" by a class difference e_i - e_j whose T-orbit has exact
+    rank r < n - 1, its minimal polynomial being an exact factor of f of
+    degree r.  Anything else is "inconclusive".
     """
     n = coll.n
     N = coll.level

@@ -116,17 +116,16 @@ class SpectralData:
 
     eigenvectors[k] is f_k in class coordinates (pairing-orthonormal), with
     the Eisenstein vector last.  characters[k][m-1] approximates the
-    eigenvalue of B(m) on f_k; tn_sign[k] is the exact +-1 eigenvalue of
+    eigenvalue of B(m) on f_k; tn_signs[k] is the exact +-1 eigenvalue of
     B(N) on a cuspidal f_k (None for the Eisenstein one).
     """
 
-    def __init__(self, level, weights, eigenvectors, characters, char_stored,
-                 tn_signs, eisenstein_index, max_residual, seed, combo):
+    def __init__(self, level, weights, eigenvectors, characters, tn_signs,
+                 eisenstein_index, max_residual, seed, combo):
         self.level = level
         self.weights = weights
         self.eigenvectors = eigenvectors
         self.characters = characters
-        self.char_stored = char_stored
         self.tn_signs = tn_signs
         self.eisenstein_index = eisenstein_index
         self.max_residual = max_residual
@@ -138,8 +137,9 @@ class SpectralData:
         return len(self.weights)
 
     def character(self, k, m):
-        """Eigenvalue of B(m) on f_k, m stored: 1..bound and the level."""
-        return self.char_stored[k][m]
+        """Eigenvalue of B(m) on f_k, 1 <= m <= bound; that of B(N) is
+        tn_signs[k]."""
+        return self.characters[k][m - 1]
 
 
 def eigendecompose(coll, seed=0):
@@ -174,9 +174,8 @@ def _decompose_once(coll, primes, coeffs, seed):
     if n == 1:
         vec = [1.0 / roots[0]]
         chars = [[float(sigma_level(m, N)) for m in range(1, coll.bound + 1)]]
-        stored = [{m: float(sigma_level(m, N)) for m in coll.available()}]
-        return SpectralData(N, weights, [vec], chars, stored, [None], 0, 0.0,
-                            seed, {"primes": [], "coeffs": []})
+        return SpectralData(N, weights, [vec], chars, [None], 0, 0.0, seed,
+                            {"primes": [], "coeffs": []})
 
     ms = coll.available()
     sym = {m: symmetrize(coll.matrix(m), weights) for m in ms}
@@ -271,13 +270,9 @@ def _decompose_once(coll, primes, coeffs, seed):
     order.append(eis_k)
 
     eigenvectors = [vectors[k] for k in order]
-    characters = []
-    char_stored = []
-    tn_signs = []
-    for k in order:
-        characters.append([char_map[k][m] for m in range(1, coll.bound + 1)])
-        char_stored.append(dict(char_map[k]))
-        tn_signs.append(tn[k])
-    return SpectralData(N, weights, eigenvectors, characters, char_stored,
-                        tn_signs, n - 1, max_residual, seed,
+    characters = [[char_map[k][m] for m in range(1, coll.bound + 1)]
+                  for k in order]
+    tn_signs = [tn[k] for k in order]
+    return SpectralData(N, weights, eigenvectors, characters, tn_signs,
+                        n - 1, max_residual, seed,
                         {"primes": list(primes), "coeffs": list(coeffs)})

@@ -1,9 +1,18 @@
-"""The two product kernels and the Bareiss rank against references."""
+"""The two product kernels, the Bareiss rank and the rank-based decisions
+(squarefree, irreducible mod p, reduced discriminant) against references."""
 
 import random
+from fractions import Fraction
+from math import isqrt
+
+import pytest
 
 import oracles
-from brandtkit.intmat import exact_rank, mat_mul, sparse_mul, transpose
+from brandtkit.ideals import enumerate_classes
+from brandtkit.intmat import (exact_rank, is_irreducible_mod, mat_mul,
+                              poly_is_squarefree, sparse_mul, transpose)
+from brandtkit.orders import maximal_order, reduced_discriminant
+from brandtkit.quatalg import ConsistencyError, construct_algebra
 
 
 def random_matrix(rng, rows, cols, density, top):
@@ -72,3 +81,120 @@ def test_exact_rank_matches_rational_rank_on_large_entries():
             assert exact_rank(A) == want
             assert exact_rank(transpose(A)) == want
             assert oracles.bareiss_rank(A) == want
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def random_poly(rng, d):
+    """Degree d, coefficients in [-9, 9], leading coefficient nonzero and
+    often not 1."""
+    lead = rng.choice([1, 1, -1, 2, 3, -4, 6, 10])
+    return [rng.randint(-9, 9) for _ in range(d)] + [lead]
+
+
+def random_polys(rng, count, p=None):
+    """Integer polynomials in ascending order, of degree 0..10 (0..p when
+    p > 10, so that p divides some degrees): a third with a squared factor
+    (over Z, or only mod p when p is given: g^2 h plus p times a
+    polynomial of lower degree), some with a leading coefficient divisible
+    by p, some with zeros past the leading coefficient."""
+    for _ in range(count):
+        d = rng.randint(0, max(10, p or 0))
+        if d >= 2 and rng.random() < 1 / 3:
+            g = random_poly(rng, rng.randint(1, d // 2))
+            f = poly_mul(poly_mul(g, g), random_poly(rng, d - 2 * (len(g) - 1)))
+            if p is not None and rng.random() < 0.5:
+                f = [c + p * rng.randint(-3, 3) for c in f[:-1]] + f[-1:]
+        else:
+            f = random_poly(rng, d)
+        if p is not None and d >= 1 and rng.random() < 0.1:
+            f[-1] = p * rng.choice([1, -2])
+        if rng.random() < 0.2:
+            f = f + [0] * rng.randint(1, 3)
+        yield f
+
+
+def test_constant_and_zero_polynomials():
+    assert poly_is_squarefree([5]) is True
+    assert poly_is_squarefree([-3, 0, 0]) is True
+    assert poly_is_squarefree([0]) is False
+    assert poly_is_squarefree([0, 0, 0]) is False
+    assert poly_is_squarefree([]) is False
+    for p in (2, 3, 7):
+        assert is_irreducible_mod([5 * p + 1], p) is False
+        assert is_irreducible_mod([0], p) is False
+        assert is_irreducible_mod([p, 2 * p, 0], p) is False  # zero mod p
+        assert is_irreducible_mod([1, p], p) is False  # constant mod p
+        assert is_irreducible_mod([1, 1 + p, 0], p) is True  # degree 1
+
+
+def test_poly_is_squarefree_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(41)
+    seen_not = 0
+    for f in random_polys(rng, 600):
+        want = sympy.Poly(f[::-1], x, domain="QQ").is_sqf if any(f) else False
+        assert poly_is_squarefree(f) == want, f
+        seen_not += not want
+    assert seen_not > 100
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_is_irreducible_mod_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(43 + p)
+    outcomes = set()
+    for f in random_polys(rng, 300, p):
+        fp = [c % p for c in f]
+        while fp and fp[-1] == 0:
+            fp.pop()
+        d = len(fp) - 1
+        want = d >= 1 and sympy.Poly(fp[::-1], x, modulus=p).is_irreducible
+        assert is_irreducible_mod(f, p) == want, f
+        outcomes.add((want, d % p == 0))
+    assert outcomes == {(False, False), (False, True), (True, False),
+                        (True, True)}
+
+
+def _lattices():
+    """Every maximal order with N < 1100 and every right order of a class
+    with N <= 139."""
+    for N in oracles.primes_upto(1100):
+        order = maximal_order(construct_algebra(N))
+        yield order.lattice
+        if N <= 139:
+            for ro in enumerate_classes(order, level=N).right_orders:
+                yield ro.lattice
+
+
+def _disc_by_det(lattice):
+    """isqrt(16 |det gram_int|) / den^4, a Fraction."""
+    t = 16 * abs(oracles.rational_det(lattice.gram_int()))
+    assert t.denominator == 1
+    root = isqrt(int(t))
+    assert root * root == t
+    return Fraction(root, lattice.den ** 4)
+
+
+def test_reduced_discriminant_matches_gram_determinant():
+    raised = integral = 0
+    for lattice in _lattices():
+        for c in (1, Fraction(1, 2), Fraction(2, 3), 2):
+            L = lattice if c == 1 else lattice.scaled(c)
+            want = _disc_by_det(L)
+            if want.denominator == 1:
+                assert reduced_discriminant(L) == want
+                integral += 1
+            else:
+                with pytest.raises(ConsistencyError, match="not an integer"):
+                    reduced_discriminant(L)
+                raised += 1
+    assert raised > 700 and integral > 700

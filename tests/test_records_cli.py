@@ -151,9 +151,21 @@ def test_verify_bad_value_exits_2(path, value, tmp_path):
     write_record(record, bad)
     with pytest.raises(ValueError):
         load_record(bad)
+    _assert_verify_exits_2_in_child(bad)
+
+
+def test_verify_deeply_nested_json_exits_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ValueError):
+        load_record(deep)
+    _assert_verify_exits_2_in_child(deep)
+
+
+def _assert_verify_exits_2_in_child(path):
     # in a child process, so that an escaped exception shows as a traceback
     proc = subprocess.run(
-        [sys.executable, "-m", "brandtkit.cli", "verify", str(bad)],
+        [sys.executable, "-m", "brandtkit.cli", "verify", str(path)],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": SRC_DIR})
     assert proc.returncode == 2
