@@ -114,33 +114,54 @@ def cmd_analyze(args):
     return 0 if res.ok else 1
 
 
+def _sweep_level(job):
+    """One level of `sweep`, run in a pool worker: analyze N, write its
+    record and return (failed, row).  The worker writes the record, so the
+    parent never holds one."""
+    N, args = job
+    try:
+        res = analyze(N, coeffs=args.coeffs, seed=args.seed,
+                      oracle=args.oracle,
+                      max_oracle_level=args.max_oracle_level)
+    except Exception as err:
+        return True, f"{N:>5}  error: {err}"
+    _write_cache(res.record, args.cache_dir)
+    dims = ",".join(str(d) for d in res.report.dims)
+    hc = "holds" if res.report.hecke_conjecture_holds else "FAILS"
+    status = "" if res.ok else "  [checks failed]"
+    return not res.ok, (f"{N:>5}  {res.report.n:>3}  {dims:<18} {hc:<11}"
+                        f"{res.report.rho:>4}  {res.report.field_verdict}"
+                        f"{status}")
+
+
 def cmd_sweep(args):
+    """Each prime level is an independent computation, so the levels run in
+    a pool with one worker per usable CPU; rows print in ascending N."""
     if args.start > args.stop:
         print("error: empty range", file=sys.stderr)
         return 2
-    failures = 0
     header = (f"{'N':>5}  {'n':>3}  {'dims':<18} {'conjecture':<11}"
               f"{'rho':>4}  verdict")
     print(header)
-    for N in range(max(args.start, 2), args.stop + 1):
-        if not is_prime(N):
-            continue
-        try:
-            res = analyze(N, coeffs=args.coeffs, seed=args.seed,
-                          oracle=args.oracle,
-                          max_oracle_level=args.max_oracle_level)
-        except Exception as err:
-            failures += 1
-            print(f"{N:>5}  error: {err}")
-            continue
-        _write_cache(res.record, args.cache_dir)
-        if not res.ok:
-            failures += 1
-        dims = ",".join(str(d) for d in res.report.dims)
-        hc = "holds" if res.report.hecke_conjecture_holds else "FAILS"
-        status = "" if res.ok else "  [checks failed]"
-        print(f"{N:>5}  {res.report.n:>3}  {dims:<18} {hc:<11}"
-              f"{res.report.rho:>4}  {res.report.field_verdict}{status}")
+    levels = [N for N in range(max(args.start, 2), args.stop + 1)
+              if is_prime(N)]
+    if not levels:
+        return 0
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    # imported here: it costs about 10 ms, which analyze and verify skip
+    import multiprocessing
+    failures = 0
+    # spawn, not fork: workers start from a fresh import, whatever threads
+    # or state the calling process holds, on every platform alike
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(min(len(levels), cpus)) as pool:
+        for failed, row in pool.imap(_sweep_level,
+                                     [(N, args) for N in levels]):
+            failures += failed
+            print(row)
+        pool.close()
+        pool.join()
     return 1 if failures else 0
 
 

@@ -60,50 +60,60 @@ def combination(coeffs, mats):
     return out
 
 
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b = g, where g is gcd(a, b) up to sign."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
 def hnf(rows):
     """Row Hermite normal form of an integer matrix; returns the nonzero rows.
 
     Pivots positive, entries above each pivot reduced into [0, pivot).  The
     output is canonical: any generating set of the same row lattice gives the
-    identical matrix.
+    identical matrix.  Each row is folded into a triangular basis, one pivot
+    column at a time: where the basis already has a row b with its pivot in
+    the column of the row v's leading entry, the unimodular pair step
+    (b, v) -> (s b + t v, (b_c/g) v - (v_c/g) b), with s b_c + t v_c = g,
+    leaves g in b and clears v's entry.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    nrows = len(rows)
-    ncols = len(rows[0])
-    pr = 0
-    for c in range(ncols):
-        if pr >= nrows:
-            break
-        while True:
-            nz = [r for r in range(pr, nrows) if rows[r][c] != 0]
-            if not nz:
-                break
-            r0 = min(nz, key=lambda r: abs(rows[r][c]))
-            if r0 != pr:
-                rows[pr], rows[r0] = rows[r0], rows[pr]
-            p = rows[pr][c]
-            reduced = True
-            for r in range(pr + 1, nrows):
-                if rows[r][c]:
-                    q = rows[r][c] // p
-                    if q:
-                        rows[r] = [x - q * y for x, y in zip(rows[r], rows[pr])]
-                    if rows[r][c]:
-                        reduced = False
-            if reduced:
-                break
-        if pr < nrows and rows[pr][c] != 0:
-            if rows[pr][c] < 0:
-                rows[pr] = [-x for x in rows[pr]]
-            p = rows[pr][c]
-            for r in range(pr):
-                q = rows[r][c] // p
-                if q:
-                    rows[r] = [x - q * y for x, y in zip(rows[r], rows[pr])]
-            pr += 1
-    return rows[:pr]
+    basis = {}  # pivot column -> the basis row whose leading entry is there
+    for v in rows:
+        c, n = 0, len(v)
+        while c < n:
+            a = v[c]
+            if a:
+                b = basis.get(c)
+                if b is None:
+                    basis[c] = list(v)
+                    break
+                p = b[c]
+                q, r = divmod(a, p)
+                if r:
+                    g, s, t = _xgcd(p, a)
+                    p, a = p // g, a // g
+                    basis[c] = [s * x + t * y for x, y in zip(b, v)]
+                    v = [p * y - a * x for x, y in zip(b, v)]
+                else:
+                    v = [y - q * x for x, y in zip(b, v)]
+            c += 1
+    out = []
+    for c in sorted(basis):
+        row = basis[c]
+        if row[c] < 0:
+            row = [-x for x in row]
+        p = row[c]
+        for r, above in enumerate(out):
+            q = above[c] // p
+            if q:
+                out[r] = [x - q * y for x, y in zip(above, row)]
+        out.append(row)
+    return out
 
 
 def exact_rank(rows):

@@ -7,6 +7,7 @@ produce byte-identical files apart from the generated_at line.
 """
 
 import json
+import os
 import re
 from fractions import Fraction
 from itertools import chain
@@ -91,8 +92,19 @@ def to_json(record):
 
 
 def write_record(record, path):
-    with open(path, "w") as fh:
-        fh.write(to_json(record))
+    """Write the record's text to path.  The text is made first and written
+    to a temporary file beside path, which then replaces path in one rename:
+    a record that cannot be serialized, or a write cut short, leaves the
+    file at path as it was."""
+    text = to_json(record)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
 
 
 # the fields verify_record reads, as paths into the record

@@ -86,6 +86,50 @@ def theta_rank(mats, n, i):
     return bareiss_rank([[B[i][j] for B in mats] for j in range(n)])
 
 
+def hnf_by_least_pivot(rows):
+    """Row Hermite normal form, nonzero rows only, column by column: the
+    entry of least absolute value becomes the pivot and reduces the rows
+    below it until they are zero in that column (the library kernel before
+    it folded each row in by extended-gcd steps)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return []
+    nrows = len(rows)
+    ncols = len(rows[0])
+    pr = 0
+    for c in range(ncols):
+        if pr >= nrows:
+            break
+        while True:
+            nz = [r for r in range(pr, nrows) if rows[r][c] != 0]
+            if not nz:
+                break
+            r0 = min(nz, key=lambda r: abs(rows[r][c]))
+            if r0 != pr:
+                rows[pr], rows[r0] = rows[r0], rows[pr]
+            p = rows[pr][c]
+            reduced = True
+            for r in range(pr + 1, nrows):
+                if rows[r][c]:
+                    q = rows[r][c] // p
+                    if q:
+                        rows[r] = [x - q * y for x, y in zip(rows[r], rows[pr])]
+                    if rows[r][c]:
+                        reduced = False
+            if reduced:
+                break
+        if pr < nrows and rows[pr][c] != 0:
+            if rows[pr][c] < 0:
+                rows[pr] = [-x for x in rows[pr]]
+            p = rows[pr][c]
+            for r in range(pr):
+                q = rows[r][c] // p
+                if q:
+                    rows[r] = [x - q * y for x, y in zip(rows[r], rows[pr])]
+            pr += 1
+    return rows[:pr]
+
+
 def rational_det(rows):
     a = [[Fraction(x) for x in row] for row in rows]
     n = len(a)

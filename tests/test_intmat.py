@@ -9,10 +9,10 @@ import pytest
 
 import oracles
 from brandtkit.ideals import enumerate_classes
-from brandtkit.intmat import (exact_rank, is_irreducible_mod, mat_mul,
+from brandtkit.intmat import (exact_rank, hnf, is_irreducible_mod, mat_mul,
                               poly_is_squarefree, sparse_mul, transpose)
 from brandtkit.orders import maximal_order, reduced_discriminant
-from brandtkit.quatalg import ConsistencyError, construct_algebra
+from brandtkit.quatalg import ConsistencyError, construct_algebra, mul4
 
 
 def random_matrix(rng, rows, cols, density, top):
@@ -81,6 +81,33 @@ def test_exact_rank_matches_rational_rank_on_large_entries():
             assert exact_rank(A) == want
             assert exact_rank(transpose(A)) == want
             assert oracles.bareiss_rank(A) == want
+
+
+def test_hnf_matches_least_pivot_reference():
+    rng = random.Random(37)
+    assert hnf([]) == [] and hnf([[0, 0], [0, 0]]) == []
+    cases = []
+    for _ in range(1000):
+        r, c = rng.randint(1, 9), rng.randint(1, 6)
+        top = rng.choice([1, 5, 1000, 2 ** 40])
+        density = rng.choice([0.2, 0.6, 1.0])
+        A = random_matrix(rng, r, c, density, top)
+        if rng.random() < 0.3:
+            A[rng.randrange(r)] = [0] * c
+        cases.append(A)
+    for _ in range(200):
+        r, c = rng.randint(3, 9), rng.randint(3, 6)
+        cases.append(low_rank(rng, r, c, rng.randint(1, min(r, c) - 1),
+                              rng.choice([3, 1000])))
+    # 16 x 4: the products of the basis rows of two lattices, as ideal
+    # products and right orders hand them to QuatLattice.from_rows
+    for _ in range(200):
+        a, b = -rng.randint(1, 50), -rng.randint(1, 500)
+        I, J = (random_matrix(rng, 4, 4, 0.8, rng.choice([4, 60]))
+                for _ in range(2))
+        cases.append([list(mul4(a, b, x, y)) for x in I for y in J])
+    for A in cases:
+        assert hnf(A) == oracles.hnf_by_least_pivot(A), A
 
 
 def poly_mul(f, g):

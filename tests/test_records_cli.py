@@ -1,5 +1,6 @@
 import copy
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -34,6 +35,16 @@ def test_record_roundtrip(tmp_path):
     path = tmp_path / "level-11.json"
     write_record(record, path)
     assert load_record(path) == json.loads(to_json(record))
+
+
+def test_failed_write_keeps_the_old_record(tmp_path):
+    path = tmp_path / "level-11.json"
+    write_record(cached_analysis(11).record, path)
+    before = path.read_text()
+    with pytest.raises(TypeError):
+        write_record({"x": {1}}, path)
+    assert path.read_text() == before
+    assert os.listdir(tmp_path) == ["level-11.json"]
 
 
 def test_verify_record_passes():
@@ -263,6 +274,9 @@ def test_cli_analyze_with_oracle(tmp_path, capsys):
     assert record["oracle"]["j_count"] == 2
 
 
+SWEEP_HEADER = "    N    n  dims               conjecture  rho  verdict"
+
+
 def test_cli_sweep(tmp_path, capsys):
     code = main(["sweep", "11", "13", "--cache-dir", str(tmp_path)])
     out = capsys.readouterr().out
@@ -273,6 +287,34 @@ def test_cli_sweep(tmp_path, capsys):
     assert not any(line.strip().startswith("12") for line in lines)
     assert (tmp_path / "level-11.json").exists()
     assert (tmp_path / "level-13.json").exists()
+    assert not multiprocessing.active_children()
+
+
+def test_cli_sweep_rows_and_failures_in_level_order(tmp_path, capsys):
+    # with three coefficients the levels from 17 on stop at the Sturm
+    # bound; their rows still come in order, between the pool's others
+    code = main(["sweep", "2", "40", "--coeffs", "3", "--cache-dir",
+                 str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert not multiprocessing.active_children()
+    assert lines[0] == SWEEP_HEADER
+    good = [2, 3, 5, 7, 11, 13]
+    bad = [17, 19, 23, 29, 31, 37]
+    assert [int(line.split()[0]) for line in lines[1:]] == good + bad
+    for line in lines[1:len(good) + 1]:
+        assert "error" not in line
+    for line in lines[len(good) + 1:]:
+        assert "  error: need at least " in line and " coefficients" in line
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"level-{N}.json" for N in good)
+
+
+def test_cli_sweep_without_primes_prints_the_header(tmp_path, capsys):
+    assert main(["sweep", "24", "28", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == SWEEP_HEADER + "\n"
+    assert not multiprocessing.active_children()
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_sweep_empty_range(capsys):

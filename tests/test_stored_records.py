@@ -3,11 +3,12 @@
 perfbench/data/records.json.gz holds the record text that `brandtkit sweep
 --oracle --seed 0` wrote for each benchmark level.  Every level N <= 200 is
 recomputed here (through the shared conftest cache, so after the acceptance
-battery this costs almost nothing) and compared field by field.  Left out:
-the timestamp, the oracle block and its ledger entry (the cache runs without
-the oracle), the probe's free-text detail and the ledger details.  Every
-stored record, the derogatory levels 113 and 307 included, must also pass
-`verify`.
+battery this costs almost nothing) and compared field by field; the levels
+up to 139 are also swept through `brandtkit sweep`, whose pool workers
+write the records.  Left out: the timestamp, the oracle block and its
+ledger entry (the cache runs without the oracle), the probe's free-text
+detail and the ledger details.  Every stored record, the derogatory levels
+113 and 307 included, must also pass `verify`.
 """
 
 import gzip
@@ -51,6 +52,19 @@ def test_record_matches_stored(N):
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], (N, key)
+
+
+def test_pooled_sweep_writes_the_stored_records(tmp_path):
+    # the path users and CI run: the records come from the pool's workers
+    assert main(["sweep", "2", "139", "--seed", "0", "--cache-dir",
+                 str(tmp_path)]) == 0
+    levels = [N for N in range(2, 140) if is_prime(N)]
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"level-{N}.json" for N in levels)
+    for N in levels:
+        got = _comparable(json.loads((tmp_path / f"level-{N}.json")
+                                     .read_text()))
+        assert got == _comparable(json.loads(STORED[N])), N
 
 
 def test_every_stored_record_verifies(tmp_path, capsys):
