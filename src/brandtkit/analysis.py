@@ -52,7 +52,7 @@ def analyze(N, coeffs=None, seed=0, oracle=False, max_oracle_level=100):
 
     alg = construct_algebra(N)
     order = maximal_order(alg)
-    classes = enumerate_classes(order, level=N)
+    classes = enumerate_classes(order)
     coll = BrandtCollection(classes, bound)
 
     checks = structural_checks(coll.level, coll.weights, coll.bound,

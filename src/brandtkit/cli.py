@@ -28,15 +28,14 @@ def _record_path(cache_dir, N):
     return os.path.join(cache_dir, f"level-{N}.json")
 
 
-def _write_cache(record, cache_dir, quiet=False):
+def _write_cache(record, cache_dir):
     try:
         os.makedirs(cache_dir, exist_ok=True)
         path = _record_path(cache_dir, record["level"])
         write_record(record, path)
         return path
     except OSError as err:
-        if not quiet:
-            print(f"warning: cache write failed: {err}", file=sys.stderr)
+        print(f"warning: cache write failed: {err}", file=sys.stderr)
         return None
 
 
@@ -114,11 +113,9 @@ def cmd_analyze(args):
     return 0 if res.ok else 1
 
 
-def _sweep_level(job):
-    """One level of `sweep`, run in a pool worker: analyze N, write its
-    record and return (failed, row).  The worker writes the record, so the
-    parent never holds one."""
-    N, args = job
+def _sweep_level(N, args):
+    """One level of `sweep`: analyze N, write its record and return
+    (failed, row)."""
     try:
         res = analyze(N, coeffs=args.coeffs, seed=args.seed,
                       oracle=args.oracle,
@@ -134,9 +131,22 @@ def _sweep_level(job):
                         f"{status}")
 
 
+def _sweep_worker(levels, args, conn):
+    """A worker process of `sweep`: run its levels in order and send
+    (failed, row) for each.  It writes the records, so the parent never
+    holds one."""
+    with conn:
+        for N in levels:
+            conn.send(_sweep_level(N, args))
+
+
 def cmd_sweep(args):
     """Each prime level is an independent computation, so the levels run in
-    a pool with one worker per usable CPU; rows print in ascending N."""
+    one worker process per usable CPU, worker k taking every k-th level;
+    rows print in ascending N.  A worker that dies without an exception
+    (SIGKILL, the OOM killer) leaves its pipe at end of file: the sweep then
+    stops with an error and exit 1, keeping the rows printed and the records
+    written so far."""
     if args.start > args.stop:
         print("error: empty range", file=sys.stderr)
         return 2
@@ -149,19 +159,40 @@ def cmd_sweep(args):
         return 0
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+    jobs = min(len(levels), cpus)
     # imported here: it costs about 10 ms, which analyze and verify skip
-    import multiprocessing
-    failures = 0
+    from multiprocessing import get_context
     # spawn, not fork: workers start from a fresh import, whatever threads
     # or state the calling process holds, on every platform alike
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(len(levels), cpus)) as pool:
-        for failed, row in pool.imap(_sweep_level,
-                                     [(N, args) for N in levels]):
+    ctx = get_context("spawn")
+    workers = []
+    failures, finished = 0, False
+    try:
+        for k in range(jobs):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_sweep_worker,
+                               args=(levels[k::jobs], args, send_end))
+            proc.start()
+            workers.append((proc, recv_end))
+            send_end.close()  # the worker holds the only write end
+        for i, N in enumerate(levels):
+            proc, conn = workers[i % jobs]
+            try:
+                failed, row = conn.recv()
+            except EOFError:
+                proc.join()
+                print(f"error: the worker for level {N} died "
+                      f"(exit code {proc.exitcode})", file=sys.stderr)
+                return 1
             failures += failed
             print(row)
-        pool.close()
-        pool.join()
+        finished = True
+    finally:
+        for proc, conn in workers:
+            if not finished:
+                proc.terminate()
+            proc.join()
+            conn.close()
     return 1 if failures else 0
 
 

@@ -2,10 +2,11 @@
 
 Ideals are lattices closed under left multiplication by the order R.  The
 class set is produced by a breadth-first walk over p-neighbors: for a prime
-p away from the level, the p+1 sublattices of index p^2 that stay left
-R-stable and are isotropic for the norm form mod p are the ideals of norm
-p*N(I) directly below I.  The walk terminates exactly when the accumulated
-mass sum(1/w_i) reaches (N-1)/12.
+p away from the level, the ideals of norm p*N(I) directly below I are the
+p+1 lattices R x + pI, x in I of reduced norm 0 mod p, in closed form
+because R/pR is the matrix ring M_2(F_p).  The walk starts at p = 2, and
+at every level tried so far it closes there.  It terminates exactly when
+the accumulated mass sum(1/w_i) reaches (N-1)/12.
 
 A ClassList keys each class by an invariant, the theta prefix of its own
 normalized norm form (class_key), and find() runs the exact is_equivalent
@@ -33,6 +34,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
+from .intmat import hnf, mat_mul
 from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder
 from .quatalg import ConsistencyError, is_prime, mul4
@@ -65,26 +67,6 @@ class LeftIdeal:
 
     def __repr__(self):
         return f"LeftIdeal(norm={self.norm()}, {self.lattice!r})"
-
-
-def _left_action_mats(order, lattice):
-    """Integer matrices of left multiplication by the order basis on ideal
-    coordinates; their integrality is exactly left-stability."""
-    a, b = lattice.alg.a, lattice.alg.b
-    oden = order.lattice.den
-    mats = []
-    for r in order.lattice.mat:
-        out = []
-        for y in lattice.mat:
-            # (r / oden) (y / den) = (r y / oden) / den
-            prod = mul4(a, b, r, y)
-            coords = (None if any(x % oden for x in prod)
-                      else lattice.coordinates([x // oden for x in prod]))
-            if coords is None:
-                raise ConsistencyError("lattice is not left-stable")
-            out.append(coords)
-        mats.append(out)
-    return mats
 
 
 def right_order(ideal):
@@ -150,73 +132,45 @@ def unit_weight(order):
 
 # ---------------------------------------------------------------------------
 
-def _mod_p_matrix(mats, p):
-    return [[[x % p for x in row] for row in m] for m in mats]
-
-
-def _in_span2(v, w1, w2, piv1, piv2, p):
-    """Is v in the F_p-span of RREF rows w1 (pivot piv1), w2 (pivot piv2)?"""
-    t = [(x - v[piv1] * y1 - v[piv2] * y2) % p
-         for x, y1, y2 in zip(v, w1, w2)]
-    return not any(t)
-
-
-def _two_dim_subspaces(p):
-    """All 2-dimensional subspaces of F_p^4 as RREF row pairs."""
-    cols = range(4)
-    out = []
-    for c1 in cols:
-        for c2 in range(c1 + 1, 4):
-            free1 = [c for c in cols if c > c1 and c != c2]
-            free2 = [c for c in cols if c > c2]
-            for vals1 in product(range(p), repeat=len(free1)):
-                w1 = [0, 0, 0, 0]
-                w1[c1] = 1
-                for c, v in zip(free1, vals1):
-                    w1[c] = v
-                for vals2 in product(range(p), repeat=len(free2)):
-                    w2 = [0, 0, 0, 0]
-                    w2[c2] = 1
-                    for c, v in zip(free2, vals2):
-                        w2[c] = v
-                    out.append((w1[:], w2, c1, c2))
-    return out
-
-
 def p_neighbors(ideal, p):
-    """The p+1 left-stable index-p^2 sublattices with norm p*N(I)."""
+    """The p + 1 left ideals J with pI < J < I and N(J) = p N(I).
+
+    O/pO is M_2(F_p), and I/pI is free of rank one over it, so an element x
+    of I/pI of reduced norm 0 mod p is a matrix of rank one, and O x is the
+    2-dimensional left ideal of the matrices whose kernel contains ker x.
+    The neighbours are therefore the J = O x + pI, one for each of the p + 1
+    kernels (Pizer 1980; Kirschmer and Voight 2010).  Each x is taken once
+    up to scalars, as a coefficient row on I's basis with leading entry 1.
+    The neighbours come ordered by the reduced row echelon form mod p of
+    J/pI in I's coordinates: pivot columns first, then the rows.
+    """
     lat = ideal.lattice
     alg = lat.alg
-    if alg.level is not None and p == alg.level:
+    if p == alg.level:
         raise ValueError("neighbor prime must differ from the level")
-    Tmats = _mod_p_matrix(_left_action_mats(ideal.order, lat), p)
-    cint = lat.content_int()
-
-    def qbar(u):
-        x = [sum(u[r] * lat.mat[r][c] for r in range(4)) for c in range(4)]
-        return lat.norm_value(x) % p
-
+    olat = ideal.order.lattice
+    if product_lattice(olat, lat) != lat:
+        raise ConsistencyError("lattice is not left-stable")
+    pI = [[p * (r == c) for c in range(4)] for r in range(4)]
+    planes = {}
+    for lead in range(4):
+        for tail in product(range(p), repeat=3 - lead):
+            x = mat_mul([(0,) * lead + (1,) + tail], lat.mat)[0]
+            if lat.norm_value(x) % p:
+                continue
+            # O x in I's coordinates; integral because O I = I
+            Ox = [[c % p for c in lat.coordinates(
+                [y // olat.den for y in mul4(alg.a, alg.b, r, x)])]
+                for r in olat.mat]
+            # J/pI in the HNF of J's coordinates on I: its rows with
+            # pivot 1 are the echelon form mod p, entries in [0, p)
+            H = hnf(Ox + pI)
+            pivots = tuple(r for r in range(4) if H[r][r] == 1)
+            planes[pivots, tuple(tuple(H[r]) for r in pivots)] = H
     found = []
-    for w1, w2, c1, c2 in _two_dim_subspaces(p):
-        w12 = [(x + y) % p for x, y in zip(w1, w2)]
-        if qbar(w1) or qbar(w2) or qbar(w12):
-            continue
-        stable = True
-        for T in Tmats:
-            for w in (w1, w2):
-                img = [sum(w[r] * T[r][c] for r in range(4)) % p for c in range(4)]
-                if not _in_span2(img, w1, w2, c1, c2, p):
-                    stable = False
-                    break
-            if not stable:
-                break
-        if not stable:
-            continue
-        rows = [[x * p for x in row] for row in lat.mat]
-        for w in (w1, w2):
-            rows.append([sum(w[r] * lat.mat[r][c] for r in range(4))
-                         for c in range(4)])
-        nb = QuatLattice.from_rows(alg, rows, lat.den)
+    for key in sorted(planes):
+        nb = QuatLattice.from_rows(alg, mat_mul(planes[key], lat.mat),
+                                   lat.den)
         if nb.content() != p * lat.content():
             raise ConsistencyError("neighbor has unexpected norm")
         found.append(nb)
@@ -293,7 +247,7 @@ class ClassList:
         return self._translations[key]
 
 
-def enumerate_classes(order, level=None, start_p=2):
+def enumerate_classes(order, start_p=2):
     """All left ideal classes of a maximal order, mass-formula terminated.
 
     A breadth-first walk over p-neighbours, the smallest p first.  Each
@@ -301,9 +255,9 @@ def enumerate_classes(order, level=None, start_p=2):
     equivalence test only against known classes with its class_key; a
     neighbour in no known class is a new class.
     """
-    level = level if level is not None else order.alg.level
+    level = order.alg.level
     if order.reduced_discriminant() != level:
-        raise ValueError("order is not maximal of the given level")
+        raise ValueError("order is not maximal of its algebra's level")
     target = Fraction(level - 1, 12)
     classes = ClassList(level, order, [LeftIdeal(order, order.lattice)],
                         [order], [unit_weight(order)])

@@ -8,9 +8,11 @@ point-count scans instead of character sums.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from brandtkit.lattices import QuatLattice
+from brandtkit.quatalg import mul4
 
 
 def primes_upto(bound):
@@ -316,6 +318,73 @@ def two_sided_ideal_by_dual(order):
              for c in range(4)] for r in range(4)]
     return QuatLattice.from_rows(lat.alg, rows, lat.den)
 
+
+
+def _two_dim_subspaces(p):
+    """All 2-dimensional subspaces of F_p^4 as RREF row pairs."""
+    cols = range(4)
+    out = []
+    for c1 in cols:
+        for c2 in range(c1 + 1, 4):
+            free1 = [c for c in cols if c > c1 and c != c2]
+            free2 = [c for c in cols if c > c2]
+            for vals1 in product(range(p), repeat=len(free1)):
+                w1 = [0, 0, 0, 0]
+                w1[c1] = 1
+                for c, v in zip(free1, vals1):
+                    w1[c] = v
+                for vals2 in product(range(p), repeat=len(free2)):
+                    w2 = [0, 0, 0, 0]
+                    w2[c2] = 1
+                    for c, v in zip(free2, vals2):
+                        w2[c] = v
+                    out.append((w1[:], w2, c1, c2))
+    return out
+
+
+def p_neighbors_by_planes(ideal, p):
+    """The p-neighbours of a left ideal by search: every 2-dimensional
+    subspace W of I/pI, in RREF order, that is isotropic for the norm form
+    mod p and stable under left multiplication by the order gives the
+    neighbour pI + W.  Stability is read off the integer matrices of left
+    multiplication by the order basis on I's coordinates."""
+    lat = ideal.lattice
+    alg = lat.alg
+    olat = ideal.order.lattice
+    mats = []
+    for r in olat.mat:
+        out = []
+        for y in lat.mat:
+            prod = mul4(alg.a, alg.b, r, y)
+            coords = (None if any(x % olat.den for x in prod)
+                      else lat.coordinates([x // olat.den for x in prod]))
+            assert coords is not None, "lattice is not left-stable"
+            out.append([x % p for x in coords])
+        mats.append(out)
+
+    def qbar(u):
+        x = [sum(u[r] * lat.mat[r][c] for r in range(4)) for c in range(4)]
+        return lat.norm_value(x) % p
+
+    def in_span(v, w1, w2, c1, c2):
+        return not any((x - v[c1] * y1 - v[c2] * y2) % p
+                       for x, y1, y2 in zip(v, w1, w2))
+
+    found = []
+    for w1, w2, c1, c2 in _two_dim_subspaces(p):
+        w12 = [(x + y) % p for x, y in zip(w1, w2)]
+        if qbar(w1) or qbar(w2) or qbar(w12):
+            continue
+        if not all(in_span([sum(w[r] * T[r][c] for r in range(4)) % p
+                            for c in range(4)], w1, w2, c1, c2)
+                   for T in mats for w in (w1, w2)):
+            continue
+        rows = [[x * p for x in row] for row in lat.mat]
+        for w in (w1, w2):
+            rows.append([sum(w[r] * lat.mat[r][c] for r in range(4))
+                         for c in range(4)])
+        found.append(QuatLattice.from_rows(alg, rows, lat.den))
+    return found
 
 class BruteQuadField:
     """F_{N^2} as F_N[x]/(x^2 + u x + v), the first irreducible monic

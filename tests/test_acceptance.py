@@ -88,8 +88,7 @@ def test_acceptance_02_level_37_golden():
 def test_acceptance_03_mass_formula_and_class_numbers():
     t0 = time.perf_counter()
     for N in PRIMES_200:
-        classes = enumerate_classes(maximal_order(construct_algebra(N)),
-                                    level=N)
+        classes = enumerate_classes(maximal_order(construct_algebra(N)))
         mass = Fraction(N - 1, 12)
         assert classes.mass() == mass, N
         prod = 1

@@ -17,7 +17,7 @@ from brandtkit.spectral import sigma_level, sturm_bound
 
 
 def classes_for(N):
-    return enumerate_classes(maximal_order(construct_algebra(N)), level=N)
+    return enumerate_classes(maximal_order(construct_algebra(N)))
 
 
 def collection_for(N, bound=1):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from brandtkit.spectral import sturm_bound
 
 
 def classes_for(N):
-    return enumerate_classes(maximal_order(construct_algebra(N)), level=N)
+    return enumerate_classes(maximal_order(construct_algebra(N)))
 
 
 def test_maximal_order_discriminant():
@@ -171,6 +173,33 @@ def test_p_neighbors_rejects_level():
         p_neighbors(R, 11)
 
 
+
+@pytest.mark.parametrize("N", [11, 37, 101, 197])
+def test_p_neighbors_match_the_plane_search(N):
+    # the same neighbours in the same order: the order fixes the class walk
+    for I in classes_for(N).ideals:
+        for p in (2, 3, 5):
+            if p != N:
+                assert (p_neighbors(I, p)
+                        == oracles.p_neighbors_by_planes(I, p)), (N, p)
+
+
+# SHA-256 of json.dumps of the record's "ideal_bases" list, taken from the
+# class walk of the plane-search p_neighbors; the stored records end at 307
+WALK_DIGESTS = {
+    401: "5b1335f565295a601c56b51e8bc77f545b62f46f14b1ead6aea9270fca6634e1",
+    601: "976e375af3d090db5591cbd07a7398cf526339e2b6534dddf8bbb9011dfaf8a0",
+    1009: "a979f1ee0d0417f43f8fe4a0c737697abf6df1e5e6624b0904633a9dfd3d756a",
+}
+
+
+@pytest.mark.parametrize("N", sorted(WALK_DIGESTS))
+def test_class_representatives_are_pinned(N):
+    bases = [{"den": I.lattice.den, "rows": [list(r) for r in I.lattice.mat]}
+             for I in classes_for(N).ideals]
+    digest = hashlib.sha256(json.dumps(bases).encode()).hexdigest()
+    assert digest == WALK_DIGESTS[N]
+
 def test_class_numbers_match_eichler_formula():
     for N in oracles.primes_upto(97):
         classes = classes_for(N)
@@ -257,7 +286,7 @@ def test_translation_modules_are_integral_counts():
 
 def test_enumeration_independent_of_start_prime():
     order = maximal_order(construct_algebra(37))
-    a = enumerate_classes(order, level=37, start_p=2)
-    b = enumerate_classes(order, level=37, start_p=3)
+    a = enumerate_classes(order, start_p=2)
+    b = enumerate_classes(order, start_p=3)
     assert a.n == b.n
     assert sorted(a.weights) == sorted(b.weights)

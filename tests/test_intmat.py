@@ -198,7 +198,7 @@ def _lattices():
         order = maximal_order(construct_algebra(N))
         yield order.lattice
         if N <= 139:
-            for ro in enumerate_classes(order, level=N).right_orders:
+            for ro in enumerate_classes(order).right_orders:
                 yield ro.lattice
 
 

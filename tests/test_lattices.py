@@ -173,7 +173,7 @@ def test_lll_gram_preserves_determinant_and_reduces():
 
 
 def translation_modules(N):
-    classes = enumerate_classes(maximal_order(construct_algebra(N)), level=N)
+    classes = enumerate_classes(maximal_order(construct_algebra(N)))
     return [classes.translation_module(i, j)
             for i in range(classes.n) for j in range(classes.n)]
 
@@ -238,8 +238,7 @@ def test_lll_runs_once_per_lattice(monkeypatch):
 def test_extreme_translation_module_count():
     # ideal products at large levels produce very skew HNF bases; the count
     # at m = N must still be a multiple of 2 w_i (here 6)
-    classes = enumerate_classes(maximal_order(construct_algebra(179)),
-                                level=179)
+    classes = enumerate_classes(maximal_order(construct_algebra(179)))
     i = classes.weights.index(3)
     lat = classes.translation_module(i, i)
     assert lat.counts_up_to(179).get(179, 0) % 6 == 0

@@ -292,7 +292,7 @@ def test_cli_sweep(tmp_path, capsys):
 
 def test_cli_sweep_rows_and_failures_in_level_order(tmp_path, capsys):
     # with three coefficients the levels from 17 on stop at the Sturm
-    # bound; their rows still come in order, between the pool's others
+    # bound; their rows still come in order, between the other workers'
     code = main(["sweep", "2", "40", "--coeffs", "3", "--cache-dir",
                  str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
@@ -316,6 +316,33 @@ def test_cli_sweep_without_primes_prints_the_header(tmp_path, capsys):
     assert not multiprocessing.active_children()
     assert not os.listdir(tmp_path)
 
+
+
+KILL_ONE_WORKER = """
+import multiprocessing, os, signal, sys, threading, time
+from brandtkit.cli import main
+
+def kill_one_worker(cache_dir):
+    while not os.listdir(cache_dir):
+        time.sleep(0.01)
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+
+threading.Thread(target=kill_one_worker, args=(sys.argv[1],),
+                 daemon=True).start()
+sys.exit(main(["sweep", "2", "139", "--cache-dir", sys.argv[1]]))
+"""
+
+
+def test_cli_sweep_stops_when_a_worker_dies(tmp_path):
+    # a worker killed without an exception (SIGKILL, the OOM killer) in the
+    # middle of the sweep ends it with an error and exit 1, not a hang
+    proc = subprocess.run(
+        [sys.executable, "-c", KILL_ONE_WORKER, str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr
 
 def test_cli_sweep_empty_range(capsys):
     assert main(["sweep", "5", "3"]) == 2

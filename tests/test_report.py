@@ -20,8 +20,7 @@ _cache = {}
 def pipeline(N, bound=9):
     key = (N, bound)
     if key not in _cache:
-        classes = enumerate_classes(maximal_order(construct_algebra(N)),
-                                    level=N)
+        classes = enumerate_classes(maximal_order(construct_algebra(N)))
         coll = BrandtCollection(classes, bound=bound)
         _cache[key] = (coll, eigendecompose(coll, seed=0))
     return _cache[key]
@@ -49,7 +48,7 @@ def test_dims_level_37():
 
 
 def test_dim_raises_below_sturm():
-    classes = enumerate_classes(maximal_order(construct_algebra(11)), level=11)
+    classes = enumerate_classes(maximal_order(construct_algebra(11)))
     thin = BrandtCollection(classes, bound=2)
     with pytest.raises(ValueError):
         dim_theta_exact(thin, 0)
@@ -177,7 +176,7 @@ def test_atkin_lehner_rho_cross_checks_signs():
 
 
 def test_full_span_levels():
-    classes = enumerate_classes(maximal_order(construct_algebra(2)), level=2)
+    classes = enumerate_classes(maximal_order(construct_algebra(2)))
     coll2 = BrandtCollection(classes, bound=3)
     assert full_span_check(coll2) == (True, 1)
     for N in (11, 37):

@@ -25,8 +25,7 @@ _colls = {}
 def collection(N, bound=9):
     key = (N, bound)
     if key not in _colls:
-        classes = enumerate_classes(maximal_order(construct_algebra(N)),
-                                    level=N)
+        classes = enumerate_classes(maximal_order(construct_algebra(N)))
         _colls[key] = BrandtCollection(classes, bound=bound)
     return _colls[key]
 

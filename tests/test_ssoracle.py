@@ -14,7 +14,7 @@ from brandtkit.ssoracle import (QuadField, cross_validate, curve_from_j,
 
 
 def pipeline(N):
-    classes = enumerate_classes(maximal_order(construct_algebra(N)), level=N)
+    classes = enumerate_classes(maximal_order(construct_algebra(N)))
     return classes, BrandtCollection(classes, bound=max(5, (N + 1) // 6 + 1))
 
 

@@ -4,7 +4,7 @@ perfbench/data/records.json.gz holds the record text that `brandtkit sweep
 --oracle --seed 0` wrote for each benchmark level.  Every level N <= 200 is
 recomputed here (through the shared conftest cache, so after the acceptance
 battery this costs almost nothing) and compared field by field; the levels
-up to 139 are also swept through `brandtkit sweep`, whose pool workers
+up to 139 are also swept through `brandtkit sweep`, whose worker processes
 write the records.  Left out: the timestamp, the oracle block and its
 ledger entry (the cache runs without the oracle), the probe's free-text
 detail and the ledger details.  Every stored record, the derogatory levels
@@ -55,7 +55,7 @@ def test_record_matches_stored(N):
 
 
 def test_pooled_sweep_writes_the_stored_records(tmp_path):
-    # the path users and CI run: the records come from the pool's workers
+    # the path users and CI run: the records come from the sweep's workers
     assert main(["sweep", "2", "139", "--seed", "0", "--cache-dir",
                  str(tmp_path)]) == 0
     levels = [N for N in range(2, 140) if is_prime(N)]
