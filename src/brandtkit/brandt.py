@@ -4,15 +4,20 @@ With classes I_1..I_n and weights w_i, entry (i,j) of B(m) counts the
 vectors of normalized norm m in M_ij = I_j^-1 I_i, divided by 2w_i.  The
 division must come out exact; a remainder means the classes or weights are
 wrong, and that is treated as an internal error rather than rounded away.
-Conjugation maps M_ji onto a rational multiple of M_ij with the same
-normalized norm form, so only the n(n+1)/2 modules with i <= j are counted,
-and only up to the coefficient bound M.
+B(N) comes from the two-sided ideal P of norm N: [I] -> [P I] is a
+permutation sigma of the classes, and B(N)_ij = 1 exactly when P I_i lies
+in the class of I_j (Pizer 1980).  ClassList.find looks the class up, with
+the exact equivalence test run only against the classes that share the
+theta-prefix key of P I_i.
 
-B(N) is read off the two-sided ideal P of norm N instead: B(N)_ij = 1
-exactly when P I_i lies in the class of I_j (Pizer 1980).  ClassList.find
-looks the class up, with the exact equivalence test run only against the
-classes that share the theta-prefix key of P I_i.  When N <= M it comes
-from the counts like every other B(m).
+Only one module per orbit of <sigma, transpose> on the pairs is counted,
+and only up to the coefficient bound M.  Conjugation maps M_ji onto a
+rational multiple of M_ij with the same normalized norm form.  With
+P I_i = I_sigma(i) a_i, M_sigma(i)sigma(j) = a_j^-1 M_ij a_i, because
+P^-1 P = O; it has the same normalized norm form as well.  So the counts
+of M_ij fill (i, j), (j, i), (sigma(i), sigma(j)) and (sigma(j), sigma(i)).
+When N > M, B(N) is the permutation matrix of sigma; when N <= M it comes
+from the counts like every other B(m), and must equal that matrix.
 
 theta_ij(q) = 1/(2 w_i) + sum_m B(m)_ij q^m: B(0) = b0() holds the constant
 terms, and a BrandtCollection stores B(1)..B(M) and B(N), nothing else.
@@ -55,28 +60,37 @@ class BrandtCollection:
         self._compute()
 
     def _compute(self):
+        sigma = self._level_involution()
         counts = {}
         for i in range(self.n):
             for j in range(i, self.n):
-                counts[i, j] = counts[j, i] = self.classes.translation_module(
-                    i, j).counts_up_to(self.bound)
+                if (i, j) in counts:
+                    continue
+                c = self.classes.translation_module(i, j).counts_up_to(
+                    self.bound)
+                for a, b in ((i, j), (sigma[i], sigma[j])):
+                    counts[a, b] = counts[b, a] = c
         for m in range(1, self.bound + 1):
             self._matrices[m] = self._assemble(counts, m)
+        perm = [[int(k == s) for k in range(self.n)] for s in sigma]
         if self.level > self.bound:
-            self._matrices[self.level] = self._level_matrix()
+            self._matrices[self.level] = perm
+        elif self._matrices[self.level] != perm:
+            raise ConsistencyError(
+                "B(N) from the counts is not the permutation [I] -> [P I]")
 
-    def _level_matrix(self):
-        """B(N): row i has its one 1 at the class of P I_i."""
+    def _level_involution(self):
+        """sigma with P I_i in the class of I_sigma(i)."""
         classes = self.classes
         P = two_sided_ideal(classes.order)
-        out = []
+        sigma = []
         for i, I in enumerate(classes.ideals):
             j = classes.find(
                 LeftIdeal(classes.order, product_lattice(P, I.lattice)))
             if j is None:
                 raise ConsistencyError(f"P I_{i + 1} lies in no known class")
-            out.append([int(k == j) for k in range(self.n)])
-        return out
+            sigma.append(j)
+        return sigma
 
     def _assemble(self, counts, m):
         """B(m) from counts[i, j] = {norm: #vectors of M_ij of that

@@ -22,6 +22,8 @@ derivative has full rank over Q, irreducible mod p by Berlekamp's
 criterion over F_p, and the orbit's dimension by `exact_rank`.  The
 expansion identities are checked row by row: for class i, two products
 (intmat.mat_mul) evaluate both identities at every m and every column j.
+The right side of identity (2) is symmetric in i and j, so it is formed
+once for (i, j) and (j, i), in row min(i, j).
 """
 
 import random
@@ -139,7 +141,10 @@ def verify_expansion_identities(coll, spec):
     on j and is evaluated once per row), the scale max |w_i B(m)_ij| over
     m, at least 1.
     Row i is two products over all m, each sum in the order written above
-    (in (2) the pair product is formed first).
+    (in (2) the pair product is formed first).  The right side of (2) is
+    symmetric in i and j: the float products p_i p_j and p_j p_i are equal
+    and the sum over k runs in the same order, so row i forms it only for
+    j >= i, and cell (j, i) reads the same column.
     """
     n = spec.n
     w = spec.weights
@@ -149,17 +154,22 @@ def verify_expansion_identities(coll, spec):
     alpha = [[spec.character(k, m) for k in range(n)] for m in ms]
     pair = [[w[i] * vec[k][i] for i in range(n)] for k in range(n)]
     frame = list(zip(*vec))  # column k is f_k
+    shared = {}  # (i, j), i < j -> the (2) column of row i for class j
     table = []
     for i in range(n):
         rows = [B[i] for B in mats]
         one = mat_mul(rows, frame)
         row_resid = max(abs(pair[k][i] * a[k] - w[i] * s[k])
                         for a, s in zip(alpha, one) for k in range(n))
-        two = mat_mul(alpha, [[p[j] * p[i] for j in range(n)] for p in pair])
+        two = mat_mul(alpha, [[p[j] * p[i] for j in range(i, n)]
+                              for p in pair])
+        cols = [shared.pop((j, i)) for j in range(i)] + list(zip(*two))
+        for j in range(i + 1, n):
+            shared[i, j] = cols[j]
         cells = []
-        for j in range(n):
+        for j, col in enumerate(cols):
             lhs = [float(w[i] * row[j]) for row in rows]
-            resid = max(abs(x - t[j]) for x, t in zip(lhs, two))
+            resid = max(abs(x - t) for x, t in zip(lhs, col))
             cells.append((max(resid, row_resid), max(1.0, *map(abs, lhs))))
         table.append(cells)
     return table

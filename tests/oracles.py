@@ -8,9 +8,11 @@ point-count scans instead of character sums.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd, isqrt
 
+from brandtkit.intmat import mat_mul
 from brandtkit.lattices import QuatLattice
 from brandtkit.quatalg import mul4
 
@@ -226,6 +228,71 @@ def eichler_class_number(N):
     n = Fraction(N - 1, 12) + Fraction(1 - k4, 4) + Fraction(1 - k3, 3)
     assert n.denominator == 1
     return int(n)
+
+
+def kronecker(d, N):
+    """Kronecker symbol (d/N) for a prime N."""
+    if N == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    return legendre_euler(d, N)
+
+
+@lru_cache(maxsize=None)
+def primitive_class_number(d):
+    """Number of primitive reduced forms ax^2 + bxy + cy^2 of discriminant
+    d < 0: |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    h = 0
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a + 1, a + 1):
+            if (b * b - d) % (4 * a):
+                continue
+            c = (b * b - d) // (4 * a)
+            if (c > a or (c == a and b >= 0)) and gcd(a, b, c) == 1:
+                h += 1
+        a += 1
+    return h
+
+
+def fundamental_discriminant(d):
+    """(d_K, f) with d = d_K f^2 and d_K a fundamental discriminant."""
+    f = max(g for g in range(1, isqrt(-d) + 1)
+            if d % (g * g) == 0 and d // (g * g) % 4 in (0, 1))
+    return d // (f * f), f
+
+
+def hurwitz_level(D, N):
+    """The modified Hurwitz class number H_N(D) of Gross 1987, N prime."""
+    if D == 0:
+        return Fraction(N - 1, 24)
+    total = Fraction(0)
+    for f in range(1, isqrt(D) + 1):
+        if D % (f * f):
+            continue
+        d = -D // (f * f)
+        if d % 4 not in (0, 1):
+            continue
+        d_K, conductor = fundamental_discriminant(d)
+        if conductor % N == 0:
+            continue
+        u = {-3: 3, -4: 2}.get(d, 1)
+        total += Fraction(primitive_class_number(d) * (1 - kronecker(d_K, N)),
+                          2 * u)
+    return total
+
+
+def brandt_trace(m, N):
+    """tr B(m) at prime level N by the trace formula (Gross, "Heights and
+    the special values of L-series", 1987, Prop. 1.9, after Eichler):
+    the sum of H_N(4m - s^2) over the integers s with s^2 <= 4m."""
+    r = isqrt(4 * m)
+    return sum(hurwitz_level(4 * m - s * s, N) for s in range(-r, r + 1))
+
+
+def trace_mismatches(N, mats):
+    """The m of mats = {m: B(m)} whose trace is not brandt_trace(m, N)."""
+    return [m for m, B in sorted(mats.items())
+            if sum(B[i][i] for i in range(len(B))) != brandt_trace(m, N)]
 
 
 def conic_has_point(a, b, p):
@@ -579,3 +646,31 @@ def gram_schmidt(gram):
             rows = gram[:j] + [gram[i]]
             mu[i][j] = rational_det([row[:j + 1] for row in rows]) / d[j + 1]
     return mu, B
+
+
+def expansion_identities_all_pairs(coll, spec):
+    """The table of report.verify_expansion_identities, with identity (2)
+    formed afresh in every row for every column j, not shared between
+    (i, j) and (j, i)."""
+    n = spec.n
+    w = spec.weights
+    vec = spec.eigenvectors
+    ms = range(1, coll.bound + 1)
+    mats = [coll.matrix(m) for m in ms]
+    alpha = [[spec.character(k, m) for k in range(n)] for m in ms]
+    pair = [[w[i] * vec[k][i] for i in range(n)] for k in range(n)]
+    frame = list(zip(*vec))  # column k is f_k
+    table = []
+    for i in range(n):
+        rows = [B[i] for B in mats]
+        one = mat_mul(rows, frame)
+        row_resid = max(abs(pair[k][i] * a[k] - w[i] * s[k])
+                        for a, s in zip(alpha, one) for k in range(n))
+        two = mat_mul(alpha, [[p[j] * p[i] for j in range(n)] for p in pair])
+        cells = []
+        for j in range(n):
+            lhs = [float(w[i] * row[j]) for row in rows]
+            resid = max(abs(x - t[j]) for x, t in zip(lhs, two))
+            cells.append((max(resid, row_resid), max(1.0, *map(abs, lhs))))
+        table.append(cells)
+    return table

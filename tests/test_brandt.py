@@ -14,6 +14,7 @@ from brandtkit.lattices import product_lattice
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
 from brandtkit.spectral import sigma_level, sturm_bound
+from conftest import cached_analysis
 
 
 def classes_for(N):
@@ -319,3 +320,65 @@ def test_level_matrix_needs_every_class():
                         classes.right_orders[:3], classes.weights[:3])
     with pytest.raises(ConsistencyError, match="P I_3 lies in no known class"):
         BrandtCollection(dropped, 1)
+
+
+def pair_orbit(sigma, i, j):
+    """The orbit of the pair (i, j) under <sigma, transpose>."""
+    return frozenset({frozenset({i, j}), frozenset({sigma[i], sigma[j]})})
+
+
+@pytest.mark.parametrize("N, orbits", [(101, 37), (139, 51), (197, 87)])
+def test_one_module_counted_per_orbit(N, orbits, monkeypatch):
+    classes = classes_for(N)
+    called = []
+    translation_module = ClassList.translation_module
+
+    def recorded(self, i, j):
+        called.append((i, j))
+        return translation_module(self, i, j)
+
+    monkeypatch.setattr(ClassList, "translation_module", recorded)
+    coll = BrandtCollection(classes, sturm_bound(N) + 2)
+    sigma = [row.index(1) for row in coll.matrix(N)]
+    every = {pair_orbit(sigma, i, j)
+             for i in range(coll.n) for j in range(coll.n)}
+    assert len(called) == len(every) == orbits
+    assert {pair_orbit(sigma, i, j) for i, j in called} == every
+
+
+def test_counted_level_matrix_must_match_the_involution(monkeypatch):
+    # with the bound at N, B(N) is counted, and a P I_i that find puts in
+    # the wrong class makes it differ from the permutation of find's answers
+    classes = classes_for(37)
+    assert BrandtCollection(classes, 37).matrix(37) == [
+        [1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    find = ClassList.find
+    for wrong in range(3):
+        for shift in (1, 2):
+            looked_up = []
+
+            def misplaced(self, ideal):
+                j = find(self, ideal)
+                looked_up.append(j)
+                if len(looked_up) == wrong + 1:
+                    return (j + shift) % self.n
+                return j
+
+            monkeypatch.setattr(ClassList, "find", misplaced)
+            with pytest.raises(ConsistencyError,
+                               match=r"B\(N\) from the counts is not"):
+                BrandtCollection(classes, 37)
+
+
+def test_trace_formula_at_level_401():
+    coll = cached_analysis(401).collection
+    assert oracles.trace_mismatches(401, stored_matrices(coll)) == []
+
+
+def test_trace_formula_catches_a_bumped_diagonal_entry():
+    coll = collection_for(37, bound=10)
+    mats = stored_matrices(coll)
+    assert oracles.trace_mismatches(37, mats) == []
+    mats[5] = [row[:] for row in mats[5]]
+    mats[5][1][1] += 1
+    assert oracles.trace_mismatches(37, mats) == [5]

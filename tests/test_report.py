@@ -1,4 +1,5 @@
 import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from brandtkit.report import (SERIES_TOL, atkin_lehner_rho, build_report,
                               hecke_field_probe, sigma_set, theta_ranks,
                               verify_expansion_identities)
 from brandtkit.spectral import eigendecompose, sigma_level, sturm_bound
+from conftest import cached_analysis
 
 _cache = {}
 
@@ -113,6 +115,60 @@ def test_expansion_table_matches_direct_evaluation():
         table = verify_expansion_identities(coll, spec)
         assert [[_expansion_cell(coll, spec, i, j) for j in range(coll.n)]
                 for i in range(coll.n)] == table, N
+
+
+@pytest.mark.parametrize("N", [37, 101, 113, 139, 197])
+def test_expansion_table_equals_the_all_pairs_table(N):
+    # the shared half of identity (2) gives the same floats, to the last bit
+    coll = cached_analysis(N).collection
+    for seed in (0, 1):
+        spec = eigendecompose(coll, seed=seed)
+        assert verify_expansion_identities(coll, spec) == \
+            oracles.expansion_identities_all_pairs(coll, spec), (N, seed)
+
+
+class _MatrixList:
+    """B(1) .. B(M) as a collection."""
+
+    def __init__(self, mats):
+        self.bound = len(mats)
+        self._mats = mats
+
+    def matrix(self, m):
+        return self._mats[m - 1]
+
+
+class _StubSpectrum:
+    """Weights, eigenvectors and characters given outright."""
+
+    def __init__(self, weights, eigenvectors, characters):
+        self.n = len(weights)
+        self.weights = weights
+        self.eigenvectors = eigenvectors
+        self._characters = characters
+
+    def character(self, k, m):
+        return self._characters[k][m - 1]
+
+
+def test_expansion_table_without_weighted_symmetry():
+    # random integer matrices and floats: no symmetry for the shared half
+    # to lean on, and still the all-pairs floats
+    rng = random.Random(5)
+    n, M = 6, 7
+    w = [rng.randrange(1, 4) for _ in range(n)]
+    mats = [[[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+            for _ in range(M)]
+    assert any(w[i] * B[i][j] != w[j] * B[j][i] for B in mats
+               for i in range(n) for j in range(n))
+    spec = _StubSpectrum(w,
+                         [[rng.uniform(-1, 1) for _ in range(n)]
+                          for _ in range(n)],
+                         [[rng.uniform(-5, 5) for _ in range(M)]
+                          for _ in range(n)])
+    coll = _MatrixList(mats)
+    assert verify_expansion_identities(coll, spec) == \
+        oracles.expansion_identities_all_pairs(coll, spec)
 
 
 def test_explicit_relations_level_11():
@@ -270,7 +326,8 @@ def test_probe_product_verdict_level_401():
 
 def test_theta_ranks_level_401():
     # above the tested range, with the default coefficient bound
-    coll, _ = pipeline(401, bound=sturm_bound(401) + 2)
+    coll = cached_analysis(401).collection
+    assert coll.bound == sturm_bound(401) + 2
     series = [coll.matrix(m) for m in range(1, coll.bound + 1)]
     dims = theta_ranks(series, coll.n)
     assert dims == [oracles.theta_rank(series, coll.n, i)

@@ -96,6 +96,15 @@ def test_commutativity_certificate_runs_at_level_307(product_calls):
     assert len(product_calls) <= 2 * len(primes) + products
 
 
+def test_traces_match_the_trace_formula():
+    # every B(m) of every stored record, B(N) included: the orbit fill
+    # counts only one module per orbit of <sigma, transpose>, and the
+    # formula checks the diagonals it fills without counting them
+    for N, text in sorted(STORED.items()):
+        mats = {int(m): B for m, B in json.loads(text)["brandt"].items()}
+        assert oracles.trace_mismatches(N, mats) == [], N
+
+
 class RecordCollection:
     """The parts of a BrandtCollection that the theta ranks read, taken
     from a stored record."""
