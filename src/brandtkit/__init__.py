@@ -9,8 +9,7 @@ from .intmat import charpoly, exact_rank
 from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder, maximal_order, reduced_discriminant
 from .quatalg import (ConsistencyError, ConstructionError, QuaternionAlgebra,
-                      construct_algebra, hilbert_symbol, is_prime, legendre,
-                      ramified_primes)
+                      construct_algebra, is_prime, legendre)
 from .records import (SCHEMA_VERSION, TOOL_VERSION, MigrationError,
                       build_record, load_record, to_json, verify_record,
                       write_record)
@@ -34,8 +33,7 @@ __all__ = [
     "QuatLattice", "product_lattice",
     "QuatOrder", "maximal_order", "reduced_discriminant",
     "ConsistencyError", "ConstructionError", "QuaternionAlgebra",
-    "construct_algebra", "hilbert_symbol", "is_prime", "legendre",
-    "ramified_primes",
+    "construct_algebra", "is_prime", "legendre",
     "SCHEMA_VERSION", "TOOL_VERSION", "MigrationError", "build_record",
     "load_record", "to_json", "verify_record", "write_record",
     "ThetaReport", "atkin_lehner_rho", "build_report", "dim_theta_exact",

@@ -13,7 +13,6 @@ import os
 import sys
 
 from .analysis import analyze
-from .ideals import EnumerationError
 from .quatalg import ConsistencyError, ConstructionError, is_prime
 from .records import (MigrationError, load_record, to_json, verify_record,
                       write_record)
@@ -102,7 +101,7 @@ def cmd_analyze(args):
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ConsistencyError, ConstructionError, EnumerationError) as err:
+    except (ConsistencyError, ConstructionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     _write_cache(res.record, args.cache_dir)

@@ -4,9 +4,10 @@ Ideals are lattices closed under left multiplication by the order R.  The
 class set is produced by a breadth-first walk over p-neighbors: for a prime
 p away from the level, the ideals of norm p*N(I) directly below I are the
 p+1 lattices R x + pI, x in I of reduced norm 0 mod p, in closed form
-because R/pR is the matrix ring M_2(F_p).  The walk starts at p = 2, and
-at every level tried so far it closes there.  It terminates exactly when
-the accumulated mass sum(1/w_i) reaches (N-1)/12.
+because R/pR is the matrix ring M_2(F_p).  The walk uses only the least
+prime p other than N: the p-neighbour graph is connected (Kirschmer and
+Voight 2010), as B(p)'s eigenvalue p + 1 belongs to the Eisenstein vector
+alone.  It terminates exactly when the mass sum(1/w_i) reaches (N-1)/12.
 
 A ClassList keys each class by an invariant, the theta prefix of its own
 normalized norm form (class_key), and find() runs the exact is_equivalent
@@ -37,13 +38,7 @@ from itertools import product
 from .intmat import hnf, mat_mul
 from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder
-from .quatalg import ConsistencyError, is_prime, mul4
-
-MAX_NEIGHBOUR_PRIME = 97  # the class walk gives up above this prime
-
-
-class EnumerationError(RuntimeError):
-    """The class walk could not be completed (graph closed early at all p)."""
+from .quatalg import ConsistencyError, mul4
 
 
 class LeftIdeal:
@@ -247,13 +242,14 @@ class ClassList:
         return self._translations[key]
 
 
-def enumerate_classes(order, start_p=2):
+def enumerate_classes(order):
     """All left ideal classes of a maximal order, mass-formula terminated.
 
-    A breadth-first walk over p-neighbours, the smallest p first.  Each
-    neighbour is looked up with ClassList.find, so it gets the exact
-    equivalence test only against known classes with its class_key; a
-    neighbour in no known class is a new class.
+    A breadth-first walk over p-neighbours, p the least prime other than
+    the level.  Each neighbour is looked up with ClassList.find, so it gets
+    the exact equivalence test only against known classes with its
+    class_key; a neighbour in no known class is a new class.  The graph is
+    connected, so a walk that closes below the mass is a ConsistencyError.
     """
     level = order.alg.level
     if order.reduced_discriminant() != level:
@@ -262,15 +258,12 @@ def enumerate_classes(order, start_p=2):
     classes = ClassList(level, order, [LeftIdeal(order, order.lattice)],
                         [order], [unit_weight(order)])
     mass = Fraction(1, classes.weights[0])
-    p = _next_prime(start_p - 1, level)
+    p = 3 if level == 2 else 2
     frontier = deque(classes.ideals)
     while mass < target:
         if not frontier:
-            p = _next_prime(p, level)
-            if p > MAX_NEIGHBOUR_PRIME:
-                raise EnumerationError(
-                    f"class walk did not close below p={MAX_NEIGHBOUR_PRIME}")
-            frontier = deque(classes.ideals)
+            raise ConsistencyError(
+                f"the {p}-neighbour walk closed at mass {mass} < {target}")
         current = frontier.popleft()
         for nb in p_neighbors(current, p):
             cand = LeftIdeal(order, nb)
@@ -298,11 +291,3 @@ def _check_class_invariants(classes, target):
     if prod != target.denominator:
         raise ConsistencyError(
             f"weight product {prod} != mass denominator {target.denominator}")
-
-
-def _next_prime(p, level):
-    """The least prime above p other than the level."""
-    q = p + 1
-    while q == level or not is_prime(q):
-        q += 1
-    return q

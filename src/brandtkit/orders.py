@@ -19,9 +19,14 @@ for.  The lattice is built as a `QuatOrder`, which checks in integers that
 it contains 1 and is integral and closed under multiplication (L L = L,
 since 1 in L gives L inside L L), and its reduced discriminant must equal
 N.  That discriminant is a closed form, 4 |a b| times the product of the
-HNF pivots over den^4, with no determinant taken.  A slip in a basis is
-therefore a loud `ConstructionError`, never a silently wrong order
-downstream.
+HNF pivots over den^4, with no determinant taken.  It is the one
+certificate of the algebra as well: an order of reduced discriminant N, N
+prime, in a definite algebra is maximal, and the algebra ramifies exactly
+at {N, oo} (disc(B) divides discrd(O), with equality only for a maximal
+order, and disc(B) = 1 would leave oo the only ramified place, against
+Hilbert reciprocity; Voight, Quaternion Algebras, GTM 288, ch. 15).  A
+slip in a basis or in the algebra's recipe is therefore a loud
+`ConstructionError`, never a silently wrong order downstream.
 """
 
 from math import prod
@@ -101,7 +106,8 @@ def _pizer_basis(alg):
 
 
 def maximal_order(alg):
-    """Pizer's maximal order of the algebra, certified by disc = level."""
+    """Pizer's maximal order of the algebra, certified by disc = level;
+    the same equation certifies that the algebra ramifies at {level, oo}."""
     N = alg.level
     if N is None:
         raise ValueError("algebra has no level attached")

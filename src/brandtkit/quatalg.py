@@ -7,10 +7,9 @@ and bilin4 act on the rows.  The reduced norm is
 x0^2 - a*x1^2 - b*x2^2 + a*b*x3^2, positive definite for a < 0, b < 0.
 
 `construct_algebra(N)` returns the algebra ramified exactly at {N, oo} for a
-prime N, certified by Hilbert symbols rather than trusted from the recipe.
+prime N.  The recipe is not trusted: `maximal_order` certifies it by the
+reduced discriminant of its order (see orders).
 """
-
-OO = float("inf")  # the archimedean place
 
 
 class ConsistencyError(ArithmeticError):
@@ -36,14 +35,6 @@ def is_prime(n):
     return True
 
 
-def _split_p(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
 def legendre(u, p):
     """Legendre symbol (u|p) for an odd prime p; 0 when p divides u."""
     t = pow(u % p, (p - 1) // 2, p)
@@ -52,73 +43,18 @@ def legendre(u, p):
     return 1 if t == 1 else -1
 
 
-def hilbert_symbol(a, b, place):
-    """Hilbert symbol (a,b)_v at a finite prime or at OO.
-
-    Uses the classical closed formulas (quadratic-symbol bookkeeping on the
-    p-parts of a and b); see any standard treatment of quadratic forms over
-    the p-adics.
-    """
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    if place == OO:
-        return -1 if (a < 0 and b < 0) else 1
-    p = place
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"place must be a prime or OO, got {place!r}")
-    if p == 2:
-        al, u = _split_p(a, 2)
-        be, v = _split_p(b, 2)
-        eps_u = ((u - 1) // 2) % 2
-        eps_v = ((v - 1) // 2) % 2
-        om_u = ((u * u - 1) // 8) % 2
-        om_v = ((v * v - 1) // 8) % 2
-        e = eps_u * eps_v + al * om_v + be * om_u
-        return -1 if e % 2 else 1
-    al, u = _split_p(a, p)
-    be, v = _split_p(b, p)
-    s = 1
-    if (al % 2) and (be % 2) and p % 4 == 3:
-        s = -s
-    if be % 2:
-        s *= legendre(u, p)
-    if al % 2:
-        s *= legendre(v, p)
-    return s
-
-
-def ramified_primes(a, b):
-    """Finite primes where (a,b) ramifies."""
-    cand = set()
-    for n in (2, abs(a), abs(b)):
-        n = abs(n)
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                cand.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            cand.add(n)
-    cand.add(2)
-    return sorted(p for p in cand if hilbert_symbol(a, b, p) == -1)
-
-
 class QuaternionAlgebra:
-    """The rational quaternion algebra (a,b), definite, a < 0 > b."""
+    """The rational quaternion algebra (a,b), definite, a < 0 > b; the
+    prime level where it ramifies is certified by `maximal_order`."""
 
     def __init__(self, a, b, level=None):
         if a >= 0 or b >= 0:
             raise ValueError("need a < 0 and b < 0 for a definite algebra")
+        if level is not None and not is_prime(level):
+            raise ValueError(f"level must be prime, got {level}")
         self.a = int(a)
         self.b = int(b)
         self.level = level
-        if level is not None:
-            ram = ramified_primes(a, b)
-            if ram != [level] or hilbert_symbol(a, b, OO) != -1:
-                raise ConstructionError(
-                    f"({a},{b}) ramifies at {ram}, not exactly at {{{level}}}")
 
     def __repr__(self):
         return f"QuaternionAlgebra({self.a}, {self.b})"
@@ -156,9 +92,9 @@ def bilin4(a, b, x, y):
 def construct_algebra(N):
     """The definite quaternion algebra ramified exactly at {N, oo}.
 
-    Standard recipe by residue class of the prime N; the returned algebra is
-    always re-certified with Hilbert symbols, so a wrong recipe cannot
-    silently go through.
+    Standard recipe by residue class of the prime N.  `maximal_order`
+    certifies the algebra by the reduced discriminant of its order, so a
+    wrong recipe cannot silently go through.
     """
     if not is_prime(N):
         raise ValueError(f"level must be prime, got {N}")

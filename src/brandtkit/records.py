@@ -14,7 +14,7 @@ from itertools import chain
 
 from .brandt import structural_checks
 from .quatalg import is_prime
-from .report import exact_rho, theta_ranks
+from .report import atkin_lehner_bound, exact_rho, theta_ranks
 from .spectral import sturm_bound
 
 SCHEMA_VERSION = 1
@@ -270,8 +270,7 @@ def verify_record(record):
     add("sigma-set-sizes", sizes_ok, "|Sigma(i)| = dim_i")
 
     rho = record["theta"]["rho"]
-    bound_ok = all(n - dims[i] >= rho
-                   for i in range(n) if brandt[N][i][i] == 1)
+    bound_ok = all(ok for _, ok in atkin_lehner_bound(brandt[N], dims, rho))
     add("atkin-lehner-bound", bound_ok, f"rho={rho} against recomputed dims")
 
     tn = record["spectral"]["tn_signs"]

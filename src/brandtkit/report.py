@@ -185,14 +185,20 @@ def exact_rho(BN):
     return Fraction(len(BN) - sum(BN[i][i] for i in range(len(BN))), 2)
 
 
+def atkin_lehner_bound(BN, dims, rho):
+    """(i, n - dim_i >= rho) for every class i fixed by the level
+    involution (B(N)_ii = 1): its theta space must miss at least rho
+    eigenforms."""
+    n = len(BN)
+    return [(i, n - dims[i] >= rho) for i in range(n) if BN[i][i] == 1]
+
+
 def atkin_lehner_rho(spec, coll, dims):
     """rho and the per-fixed-point dimension bound.
 
     rho counts cuspidal eigenforms with B(N)-eigenvalue -1; the exact
     (n - tr B(N))/2 must equal the count of numeric -1 signs, otherwise
-    ConsistencyError.  For every i fixed by the level involution
-    (B(N)_ii = 1) the theta space must miss at least rho eigenforms:
-    n - dim_i >= rho.
+    ConsistencyError.  The bound is atkin_lehner_bound.
     """
     BN = coll.matrix(coll.level)
     rho = sum(1 for s in spec.tn_signs if s == -1)
@@ -200,11 +206,7 @@ def atkin_lehner_rho(spec, coll, dims):
     if exact != rho:
         raise ConsistencyError(f"(n - tr B(N))/2 = {exact} but {rho} "
                                "numeric B(N)-eigenvalues are -1")
-    checks = []
-    for i in range(coll.n):
-        if BN[i][i] == 1:
-            checks.append((i, coll.n - dims[i] >= rho))
-    return rho, checks
+    return rho, atkin_lehner_bound(BN, dims, rho)
 
 
 def _restrict_to_kernel(B):
@@ -220,12 +222,14 @@ def hecke_field_probe(coll, seed=0):
     detail).  With n <= 2 the kernel algebra has degree at most 1 and the
     verdict is "field" by convention.  Otherwise "product" is certified
     first by rho = (n - tr B(N))/2: B(N) lies in the Hecke algebra (Pizer
-    1980), so when 0 < rho < n - 1 the idempotents (1 +- B(N))/2 split
-    it into parts of degree n - 1 - rho and rho.  When rho is 0 or n - 1
-    the probe draws up to three random operators T = sum c_p B(p) until
-    the characteristic polynomial f of T on the augmentation kernel is
-    squarefree (its Sylvester matrix with f' has full rank); Q[T] is then
-    the whole cuspidal algebra, so the verdict no longer depends on T.
+    1980), so when rho > 0 the idempotents (1 +- B(N))/2 split it into
+    parts of degree n - 1 - rho and rho.  tr B(N) counts the fixed points
+    of the level involution, so rho <= n/2 < n - 1 and both parts are
+    proper.  When rho is 0 the probe draws up to three random operators
+    T = sum c_p B(p) until the characteristic polynomial f of T on the
+    augmentation kernel is squarefree (its Sylvester matrix with f' has
+    full rank); Q[T] is then the whole cuspidal algebra, so the verdict no
+    longer depends on T.
     "field" is certified by irreducibility of f mod p (Berlekamp: f is
     squarefree mod p and Q - I, Q the Frobenius matrix, has nullity 1);
     "product" by a class difference e_i - e_j whose T-orbit has exact
@@ -237,7 +241,7 @@ def hecke_field_probe(coll, seed=0):
     if n <= 2:
         return "field", f"degree {n - 1} is trivially a field"
     rho = exact_rho(coll.matrix(N))
-    if 0 < rho < n - 1:
+    if rho > 0:
         return "product", (f"rho = {rho}: idempotents (1 +- B(N))/2 split "
                            f"the kernel into degrees {n - 1 - rho} and {rho}")
     primes = [p for p in range(2, coll.bound + 1) if is_prime(p) and p != N][:4]

@@ -4,7 +4,10 @@ Everything here is deliberately naive and written against different
 primary sources than the library code: rational Gauss elimination instead
 of fraction-free elimination, box scans instead of recursive enumeration,
 conic solvability by residue search instead of symbol formulas, full
-point-count scans instead of character sums.
+point-count scans instead of character sums.  The Hilbert symbol by its
+closed formulas is the reference for which primes an algebra ramifies at;
+the library certifies its algebra by the order's discriminant instead, and
+the symbol itself is tested against conic search.
 """
 
 from fractions import Fraction
@@ -14,7 +17,7 @@ from math import comb, gcd, isqrt
 
 from brandtkit.intmat import mat_mul
 from brandtkit.lattices import QuatLattice
-from brandtkit.quatalg import mul4
+from brandtkit.quatalg import is_prime, legendre, mul4
 
 
 def primes_upto(bound):
@@ -311,6 +314,70 @@ def conic_has_point(a, b, p):
                 if x % p or y % p or z % p:
                     return True
     return False
+
+
+OO = float("inf")  # the archimedean place
+
+
+def _split_p(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def hilbert_symbol(a, b, place):
+    """Hilbert symbol (a,b)_v at a finite prime or at OO.
+
+    Uses the classical closed formulas (quadratic-symbol bookkeeping on the
+    p-parts of a and b); see any standard treatment of quadratic forms over
+    the p-adics.
+    """
+    if a == 0 or b == 0:
+        raise ValueError("hilbert symbol needs nonzero arguments")
+    if place == OO:
+        return -1 if (a < 0 and b < 0) else 1
+    p = place
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"place must be a prime or OO, got {place!r}")
+    if p == 2:
+        al, u = _split_p(a, 2)
+        be, v = _split_p(b, 2)
+        eps_u = ((u - 1) // 2) % 2
+        eps_v = ((v - 1) // 2) % 2
+        om_u = ((u * u - 1) // 8) % 2
+        om_v = ((v * v - 1) // 8) % 2
+        e = eps_u * eps_v + al * om_v + be * om_u
+        return -1 if e % 2 else 1
+    al, u = _split_p(a, p)
+    be, v = _split_p(b, p)
+    s = 1
+    if (al % 2) and (be % 2) and p % 4 == 3:
+        s = -s
+    if be % 2:
+        s *= legendre(u, p)
+    if al % 2:
+        s *= legendre(v, p)
+    return s
+
+
+def ramified_primes(a, b):
+    """Finite primes where (a,b) ramifies."""
+    cand = set()
+    for n in (2, abs(a), abs(b)):
+        n = abs(n)
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                cand.add(d)
+                while n % d == 0:
+                    n //= d
+            d += 1
+        if n > 1:
+            cand.add(n)
+    cand.add(2)
+    return sorted(p for p in cand if hilbert_symbol(a, b, p) == -1)
 
 
 def box_count(gram, cint, bound):

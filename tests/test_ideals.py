@@ -9,10 +9,9 @@ import oracles
 from brandtkit import ideals as ideals_module
 from brandtkit import orders
 from brandtkit.brandt import BrandtCollection
-from brandtkit.ideals import (EnumerationError, LeftIdeal, class_key,
-                              enumerate_classes, ideal_inverse, is_equivalent,
-                              p_neighbors, right_order, two_sided_ideal,
-                              unit_weight)
+from brandtkit.ideals import (LeftIdeal, class_key, enumerate_classes,
+                              ideal_inverse, is_equivalent, p_neighbors,
+                              right_order, two_sided_ideal, unit_weight)
 from brandtkit.lattices import QuatLattice, product_lattice
 from brandtkit.orders import QuatOrder, maximal_order, reduced_discriminant
 from brandtkit.quatalg import (ConsistencyError, ConstructionError,
@@ -284,9 +283,10 @@ def test_translation_modules_are_integral_counts():
             assert M.count_vectors(1) == 2 * classes.weights[i]
 
 
-def test_enumeration_independent_of_start_prime():
-    order = maximal_order(construct_algebra(37))
-    a = enumerate_classes(order, start_p=2)
-    b = enumerate_classes(order, start_p=3)
-    assert a.n == b.n
-    assert sorted(a.weights) == sorted(b.weights)
+def test_walk_that_finds_no_new_class_is_a_consistency_error(monkeypatch):
+    # the neighbour graph is connected, so a walk that closes below the
+    # mass (N-1)/12 is a bug, reported as such and not as an IndexError
+    monkeypatch.setattr(ideals_module, "p_neighbors",
+                        lambda ideal, p: [ideal.lattice] * (p + 1))
+    with pytest.raises(ConsistencyError, match="closed at mass"):
+        classes_for(37)

@@ -3,9 +3,11 @@ import random
 import pytest
 
 import oracles
-from brandtkit.quatalg import (OO, ConstructionError, QuaternionAlgebra,
-                               construct_algebra, hilbert_symbol, is_prime,
-                               legendre, mul4, norm4, ramified_primes)
+from brandtkit.orders import maximal_order
+from brandtkit.quatalg import (ConstructionError, QuaternionAlgebra,
+                               construct_algebra, is_prime, legendre, mul4,
+                               norm4)
+from oracles import OO, hilbert_symbol, ramified_primes
 
 
 def test_is_prime_matches_sieve():
@@ -81,11 +83,26 @@ def test_ramified_primes_examples():
 
 
 def test_construct_algebra_is_ramified_exactly_at_level():
-    for N in oracles.primes_upto(200):
+    # the order's discriminant is the library's certificate of the algebra;
+    # the Hilbert symbols check the recipe independently
+    for N in oracles.primes_upto(5000):
         alg = construct_algebra(N)
         assert ramified_primes(alg.a, alg.b) == [N]
         assert hilbert_symbol(alg.a, alg.b, OO) == -1
         assert alg.level == N
+        assert maximal_order(alg).reduced_discriminant() == N
+
+
+def test_order_discriminant_certifies_the_algebra():
+    # a wrong algebra for the level never yields an order of discriminant N
+    for N in oracles.primes_upto(29):
+        for a in range(-12, 0):
+            for b in range(-3 * N, 0):
+                try:
+                    maximal_order(QuaternionAlgebra(a, b, level=N))
+                except ConstructionError:
+                    continue
+                assert ramified_primes(a, b) == [N], (a, b, N)
 
 
 def test_construct_algebra_recipe_by_residue_class():
@@ -101,8 +118,12 @@ def test_construct_algebra_recipe_by_residue_class():
 
 
 def test_algebra_level_certification_rejects_wrong_level():
+    # (-1, -11) ramifies at 11: the order for level 7 is not certified
+    alg = QuaternionAlgebra(-1, -11, level=7)
     with pytest.raises(ConstructionError):
-        QuaternionAlgebra(-1, -11, level=7)
+        maximal_order(alg)
+    with pytest.raises(ValueError):
+        QuaternionAlgebra(-1, -15, level=15)
 
 
 def test_element_ring_axioms():

@@ -10,7 +10,6 @@ import pytest
 
 from brandtkit.analysis import analyze
 from brandtkit.cli import main
-from brandtkit.ideals import EnumerationError
 from brandtkit.quatalg import ConsistencyError, ConstructionError
 from brandtkit.records import (MigrationError, float_str, frac_str,
                                load_record, parse_frac, to_json,
@@ -228,8 +227,7 @@ def test_cli_analyze_rejects_short_prefix(tmp_path, capsys):
     assert "at least 3 coefficients" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [ConsistencyError, ConstructionError,
-                                   EnumerationError])
+@pytest.mark.parametrize("error", [ConsistencyError, ConstructionError])
 def test_cli_analyze_internal_errors_exit_1(error, monkeypatch, tmp_path,
                                             capsys):
     def fail(*args, **kwargs):

@@ -105,6 +105,32 @@ def test_traces_match_the_trace_formula():
         assert oracles.trace_mismatches(N, mats) == [], N
 
 
+def _pattern_is_connected(B):
+    """Whether the graph on the classes with an edge i - j for B_ij != 0 is
+    connected; B(m) is weighted-symmetric, so the rows give every edge."""
+    seen, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j, x in enumerate(B[i]):
+            if x and j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return len(seen) == len(B)
+
+
+def test_neighbour_graphs_are_connected():
+    # the class walk uses only the least prime p != N; it closes because
+    # the p-neighbour graph, the nonzero pattern of B(p), is connected
+    levels = {N: {int(m): B for m, B in json.loads(text)["brandt"].items()}
+              for N, text in STORED.items()}
+    coll = cached_analysis(401).collection
+    levels[401] = {p: coll.matrix(p) for p in (2, 3)}
+    for N, mats in sorted(levels.items()):
+        for p in (2, 3):
+            if p != N:
+                assert _pattern_is_connected(mats[p]), (N, p)
+
+
 class RecordCollection:
     """The parts of a BrandtCollection that the theta ranks read, taken
     from a stored record."""
