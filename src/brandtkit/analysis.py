@@ -59,7 +59,7 @@ def analyze(N, coeffs=None, seed=0, oracle=False, max_oracle_level=100):
                                {m: coll.matrix(m) for m in coll.available()})
     checks.append(("eisenstein-exact",) + eisenstein_exact_check(coll))
     spec = eigendecompose(coll, seed=seed)
-    report = build_report(coll, spec, probe_seed=seed)
+    report = build_report(coll, spec)
     checks.extend(report.checks)
 
     oracle_report = None

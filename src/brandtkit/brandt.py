@@ -130,17 +130,24 @@ def check_b1_identity(level, weights, bound, mats):
     return ok, "B(1) = I" if ok else f"B(1) = {mats[1]}"
 
 
-def check_weighted_symmetry(level, weights, bound, mats):
-    """Eq-style symmetry w_i B(m)_ij = w_j B(m)_ji for all stored m.
+def weighted_asymmetry(B, weights):
+    """The first (i, j) with w_i B_ij != w_j B_ji, or None: W B, row i
+    scaled by w_i, against its own transpose, row by row."""
+    WB = [[w * x for x in row] for w, row in zip(weights, B)]
+    for i, (row, col) in enumerate(zip(WB, transpose(WB))):
+        if row != col:
+            return i, next(j for j, (a, b) in enumerate(zip(row, col))
+                           if a != b)
+    return None
 
-    W B(m), row i scaled by w_i, must equal its own transpose; the first
-    differing row and entry name the failure."""
+
+def check_weighted_symmetry(level, weights, bound, mats):
+    """Eq-style symmetry w_i B(m)_ij = w_j B(m)_ji for all stored m."""
     for m, B in sorted(mats.items()):
-        WB = [[w * x for x in row] for w, row in zip(weights, B)]
-        for i, (row, col) in enumerate(zip(WB, transpose(WB))):
-            if row != col:
-                j = next(j for j, (a, b) in enumerate(zip(row, col)) if a != b)
-                return False, f"failed at m={m}, (i,j)=({i + 1},{j + 1})"
+        failed = weighted_asymmetry(B, weights)
+        if failed is not None:
+            i, j = failed
+            return False, f"failed at m={m}, (i,j)=({i + 1},{j + 1})"
     return True, f"checked m in {{1..{bound}}} and m={level}"
 
 
@@ -177,12 +184,14 @@ def check_weighted_row_sums(level, weights, bound, mats):
 KRYLOV_PRIME = 2 ** 61 - 1
 
 
-def _cyclic_operator(mats, primes, n):
-    """The first T_k = B(p_1) + 2 B(p_2) + ... + k B(p_k), k <= 3, for which
-    the fixed vector v is cyclic, or None."""
+def cyclic_operator(mats, n):
+    """The first T_k = B(p_1) + 2 B(p_2) + ... + k B(p_k), k <= 3, with
+    p_1 < p_2 < p_3 the prime indices of mats, for which the fixed vector v
+    is cyclic, or None.  report.hecke_field_probe takes the same T."""
+    primes = [m for m in sorted(mats) if is_prime(m)][:3]
     rng = random.Random(0)
     v = [rng.randrange(KRYLOV_PRIME) for _ in range(n)]
-    for k in range(1, len(primes[:3]) + 1):
+    for k in range(1, len(primes) + 1):
         T = combination(range(1, k + 1), [mats[p] for p in primes[:k]])
         krylov = [v]
         for _ in range(n - 1):
@@ -235,7 +244,7 @@ def check_commutativity(level, weights, bound, mats):
     and the pairwise fallback multiplies the B(p) in both orders.
     """
     primes = [m for m in sorted(mats) if is_prime(m)]
-    T = _cyclic_operator(mats, primes, len(weights))
+    T = cyclic_operator(mats, len(weights))
     if T is None or not _commutes_with(T, [mats[r] for r in primes]):
         for x, p in enumerate(primes):
             for r in primes[x + 1:]:

@@ -1,23 +1,35 @@
 """Exact linear algebra on small matrices.
 
 Everything here works on plain lists of row lists.  There are two product
-kernels.  `mat_mul` is the dense one: each entry is one builtin sum over a
+kernels.  `mat_mul` is the dense one: each entry is one `left_sum` over a
 row and a column; it takes ints, Fractions or floats and serves the float
-layer and `charpoly`.  `sparse_mul` builds row i of A B as a sum of the
-rows B_t over the t with A_it != 0; it is exact for any A, and fast when
-the rows of A are sparse, as those of B(p) are (at most sigma(p) nonzeros
-per row), so the Brandt identity battery uses it.  `combination` takes
+layer and `charpoly`.  Every float sum of the package is a `left_sum`, so
+a record's floats do not depend on the Python version.  `sparse_mul`
+builds row i of A B as a sum of the rows B_t over the t with A_it != 0;
+it is exact for any A, and fast when the rows of A are sparse, as those
+of B(p) are (at most sigma(p) nonzeros per row), so the Brandt identity
+battery uses it.  `combination` takes
 ints, Fractions or floats as well.  Everything else stays in integers,
 and every exact decision is a rank: `exact_rank` (fraction-free Bareiss,
 the one elimination over Q) and `rank_mod` over F_p.  A polynomial is
-squarefree when its Sylvester matrix with its derivative has full rank,
-and irreducible mod p by Berlekamp's criterion, so no polynomial gcd is
+irreducible mod p by Berlekamp's criterion, so no polynomial gcd is
 taken.  Matrices run from 4x4 up to 171x84 (one class's theta rows at
 N = 1009).
 """
 
+import sys
 from itertools import compress
 from operator import mul
+
+if sys.version_info < (3, 12):
+    left_sum = sum
+else:  # the builtin compensates float sums (Neumaier) from 3.12 on
+    def left_sum(terms):
+        """((0 + t_0) + t_1) + ...: the builtin sum of Python <= 3.11."""
+        total = 0
+        for t in terms:
+            total += t
+        return total
 
 
 def identity(n):
@@ -25,9 +37,9 @@ def identity(n):
 
 
 def mat_mul(A, B):
-    """A B: entry (i, j) is the builtin sum of A_it B_tj over t = 0, 1, ..."""
+    """A B: entry (i, j) is the left_sum of A_it B_tj over t = 0, 1, ..."""
     cols = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+    return [[left_sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def sparse_mul(A, B):
@@ -211,20 +223,6 @@ def sylvester(f, g):
     m, n = len(f) - 1, len(g) - 1
     return ([[0] * s + list(f) + [0] * (n - 1 - s) for s in range(n)]
             + [[0] * s + list(g) + [0] * (m - 1 - s) for s in range(m)])
-
-
-def poly_is_squarefree(f):
-    """Squarefree over Q: the Sylvester matrix of f and f' has full rank.
-
-    f' keeps its formal degree deg f - 1, so the same matrix decides the
-    question mod p as well, even where p divides deg f.  A nonzero
-    constant is squarefree, the zero polynomial is not.
-    """
-    f = poly_trim(list(f))
-    if len(f) < 2:
-        return any(f)
-    S = sylvester(f, poly_derivative(f))
-    return exact_rank(S) == len(S)
 
 
 # --- arithmetic mod a prime -------------------------------------------------

@@ -21,7 +21,7 @@ requested so far; the LLL pass runs once per lattice.
 from fractions import Fraction
 from math import ceil, floor, gcd, sqrt
 
-from .intmat import hnf
+from .intmat import hnf, left_sum
 from .quatalg import ConsistencyError, bilin4, mul4, norm4
 
 
@@ -213,7 +213,7 @@ def _lll_gram(G):
                         Ak[t] -= x * A[j][t]
                     for t in range(n):
                         A[t][k] -= x * A[t][j]
-        D[k] = float(Ak[k]) - sum(Lk[j] * rk[j] for j in range(k))
+        D[k] = float(Ak[k]) - left_sum(Lk[j] * rk[j] for j in range(k))
         if k == 0 or D[k] >= (DELTA - Lk[k - 1] ** 2) * D[k - 1]:
             k += 1
         else:

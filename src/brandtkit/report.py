@@ -14,23 +14,21 @@ B(N) is 1 on the Eisenstein vector and +-1 on the cusp forms, so
 rho = (n - tr B(N))/2.  It is the probe's first certificate: when
 0 < rho < n - 1 the idempotents (1 +- B(N))/2 split the cuspidal Hecke
 algebra, which is then a product, and no charpoly is needed.  At the
-other levels the verdict is exact too: "field" by irreducibility mod p
-of a squarefree kernel charpoly, "product" by a class difference whose
-orbit under the same operator is a proper subspace.  Each of these tests
-is a rank: squarefree when the Sylvester matrix of the charpoly and its
-derivative has full rank over Q, irreducible mod p by Berlekamp's
-criterion over F_p, and the orbit's dimension by `exact_rank`.  The
+seven levels with rho = 0 and n >= 3 the probe takes the generator that
+the Brandt battery certified, the cyclic T of brandt-commutativity, and
+the verdict is exact too: "field" by irreducibility mod p of its kernel
+charpoly (Berlekamp's criterion, a rank over F_p), "product" by a class
+difference whose T-orbit is a proper subspace (`exact_rank`).  The
 expansion identities are checked row by row: for class i, two products
 (intmat.mat_mul) evaluate both identities at every m and every column j.
 The right side of identity (2) is symmetric in i and j, so it is formed
 once for (i, j) and (j, i), in row min(i, j).
 """
 
-import random
 from fractions import Fraction
 
-from .intmat import (charpoly, combination, exact_rank, is_irreducible_mod,
-                     mat_mul, poly_is_squarefree)
+from .brandt import cyclic_operator
+from .intmat import charpoly, exact_rank, is_irreducible_mod, mat_mul
 from .quatalg import ConsistencyError, is_prime
 from .spectral import sturm_bound
 
@@ -215,7 +213,7 @@ def _restrict_to_kernel(B):
     return [[B[l][k] - B[l][0] for k in range(1, n)] for l in range(1, n)]
 
 
-def hecke_field_probe(coll, seed=0):
+def hecke_field_probe(coll):
     """Decide whether the cuspidal Hecke algebra spans a single field.
 
     Returns ("field", detail), ("product", detail) or ("inconclusive",
@@ -225,16 +223,15 @@ def hecke_field_probe(coll, seed=0):
     1980), so when rho > 0 the idempotents (1 +- B(N))/2 split it into
     parts of degree n - 1 - rho and rho.  tr B(N) counts the fixed points
     of the level involution, so rho <= n/2 < n - 1 and both parts are
-    proper.  When rho is 0 the probe draws up to three random operators
-    T = sum c_p B(p) until the characteristic polynomial f of T on the
-    augmentation kernel is squarefree (its Sylvester matrix with f' has
-    full rank); Q[T] is then the whole cuspidal algebra, so the verdict no
-    longer depends on T.
-    "field" is certified by irreducibility of f mod p (Berlekamp: f is
-    squarefree mod p and Q - I, Q the Frobenius matrix, has nullity 1);
-    "product" by a class difference e_i - e_j whose T-orbit has exact
-    rank r < n - 1, its minimal polynomial being an exact factor of f of
-    degree r.  Anything else is "inconclusive".
+    proper.  rho = 0 with n >= 3 happens only at N = 23, 29, 31, 41, 47,
+    59 and 71 (Ogg 1975).  There T is the cyclic T_k of
+    brandt-commutativity (brandt.cyclic_operator): Q[T] is the Hecke
+    algebra (multiplicity one, Emerton 2002), and T is self-adjoint, so
+    its charpoly f on the augmentation kernel is squarefree.
+    "field" is certified by irreducibility of f mod p (Berlekamp's
+    criterion); "product" by a class difference e_i - e_j whose T-orbit
+    has exact rank r < n - 1, its minimal polynomial being an exact
+    factor of f of degree r.  Anything else is "inconclusive".
     """
     n = coll.n
     N = coll.level
@@ -244,24 +241,13 @@ def hecke_field_probe(coll, seed=0):
     if rho > 0:
         return "product", (f"rho = {rho}: idempotents (1 +- B(N))/2 split "
                            f"the kernel into degrees {n - 1 - rho} and {rho}")
-    primes = [p for p in range(2, coll.bound + 1) if is_prime(p) and p != N][:4]
-    rng = random.Random(seed)
-    for _ in range(3):
-        coeffs = [rng.randrange(1, 10) for _ in primes]
-        T = combination(coeffs, [coll.matrix(p) for p in primes])
-        f = charpoly(_restrict_to_kernel(T))
-        if poly_is_squarefree(f):
-            break
-    else:
-        return "inconclusive", "no squarefree combination found"
-    p = 2
-    tried = 0
-    while tried < 60:
-        if is_prime(p):
-            tried += 1
-            if is_irreducible_mod(f, p):
-                return "field", f"charpoly irreducible mod {p}"
-        p += 1
+    T = cyclic_operator({m: coll.matrix(m) for m in coll.available()}, n)
+    if T is None:
+        return "inconclusive", "no T_1..T_3 has a cyclic vector"
+    f = charpoly(_restrict_to_kernel(T))
+    for p in filter(is_prime, range(2, 282)):  # the first 60 primes
+        if is_irreducible_mod(f, p):
+            return "field", f"charpoly irreducible mod {p}"
     for i in range(n):
         for j in range(i + 1, n):
             orbit = [[(a == i) - (a == j) for a in range(n)]]
@@ -295,7 +281,7 @@ class ThetaReport:
         return all(d == self.n for d in self.dims)
 
 
-def build_report(coll, spec, probe_seed=0):
+def build_report(coll, spec):
     """Assemble the full report, reconciling numeric sets with exact ranks."""
     n = coll.n
     checks = []
@@ -326,7 +312,7 @@ def build_report(coll, spec, probe_seed=0):
     checks.append(("atkin-lehner-bound", all(ok for _, ok in bound_checks),
                    f"rho={rho}, fixed classes {[i + 1 for i in fixed]}"))
 
-    verdict, detail = hecke_field_probe(coll, seed=probe_seed)
+    verdict, detail = hecke_field_probe(coll)
     if verdict == "field":
         field_ok = all(d == n for d in dims)
         checks.append(("field-verdict-dimensions", field_ok,

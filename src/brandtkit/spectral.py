@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import sqrt
 from operator import mul
 
-from .brandt import check_weighted_row_sums, sigma_level
-from .intmat import combination, mat_mul
+from .brandt import check_weighted_row_sums, sigma_level, weighted_asymmetry
+from .intmat import combination, left_sum, mat_mul
 from .quatalg import ConsistencyError, is_prime
 
 RESIDUAL_TOL = 1e-8
@@ -61,12 +61,11 @@ def eisenstein_exact_check(coll):
 
 
 def symmetrize(B, weights):
-    """D^{1/2} B D^{-1/2}; exact weighted symmetry is checked first."""
+    """D^{1/2} B D^{-1/2}; exact weighted symmetry
+    (brandt.weighted_asymmetry) is checked first."""
     n = len(weights)
-    for i in range(n):
-        for j in range(n):
-            if weights[i] * B[i][j] != weights[j] * B[j][i]:
-                raise ConsistencyError("matrix is not self-adjoint for the pairing")
+    if weighted_asymmetry(B, weights) is not None:
+        raise ConsistencyError("matrix is not self-adjoint for the pairing")
     roots = [sqrt(float(wi)) for wi in weights]
     return [[roots[i] * float(B[i][j]) / roots[j] for j in range(n)]
             for i in range(n)]
@@ -206,10 +205,10 @@ def _decompose_once(coll, primes, coeffs, seed):
     max_residual = 0.0
     char_map = [{} for _ in range(n)]
     for m in ms:
-        norm = max(sum(map(abs, row)) for row in sym[m]) or 1.0
+        norm = max(left_sum(map(abs, row)) for row in sym[m]) or 1.0
         images = zip(*mat_mul(sym[m], frame))
         for k, (u, Su) in enumerate(zip(eigvecs, images)):
-            alpha = sum(map(mul, u, Su))
+            alpha = left_sum(map(mul, u, Su))
             resid = max(abs(s - alpha * x) for s, x in zip(Su, u))
             if resid > RESIDUAL_TOL * norm:
                 raise ConsistencyError(

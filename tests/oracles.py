@@ -11,9 +11,10 @@ the symbol itself is tested against conic search.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import comb, gcd, isqrt
+from operator import add
 
 from brandtkit.intmat import mat_mul
 from brandtkit.lattices import QuatLattice
@@ -184,6 +185,12 @@ def charpoly_by_interpolation(rows):
     return [int(c) for c in coeffs]
 
 
+def left_fold(terms):
+    """((0 + t_0) + t_1) + ...: the float sum of the builtin sum of Python
+    <= 3.11, which from 3.12 compensates float sums instead."""
+    return reduce(add, terms, 0)
+
+
 def characters_row_by_row(sym, frame):
     """Rayleigh quotients and residuals of unit vectors under symmetric
     float matrices, one pair (k, m) at a time and one entry of S_m u_k at
@@ -200,10 +207,11 @@ def characters_row_by_row(sym, frame):
     for u in frame:
         row = {}
         for m, S in sym.items():
-            Su = [sum(S[i][j] * u[j] for j in range(n)) for i in range(n)]
-            alpha = sum(u[i] * Su[i] for i in range(n))
+            Su = [left_fold(S[i][j] * u[j] for j in range(n))
+                  for i in range(n)]
+            alpha = left_fold(u[i] * Su[i] for i in range(n))
             resid = max(abs(Su[i] - alpha * u[i]) for i in range(n))
-            norm = max(sum(abs(x) for x in r) for r in S) or 1.0
+            norm = max(left_fold(abs(x) for x in r) for r in S) or 1.0
             worst = max(worst, resid / norm)
             row[m] = alpha
         chars.append(row)

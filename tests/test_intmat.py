@@ -1,5 +1,5 @@
 """The two product kernels, the Bareiss rank and the rank-based decisions
-(squarefree, irreducible mod p, reduced discriminant) against references."""
+(irreducible mod p, reduced discriminant) against references."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,7 @@ import pytest
 import oracles
 from brandtkit.ideals import enumerate_classes
 from brandtkit.intmat import (exact_rank, hnf, is_irreducible_mod, mat_mul,
-                              poly_is_squarefree, sparse_mul, transpose)
+                              sparse_mul, transpose)
 from brandtkit.orders import maximal_order, reduced_discriminant
 from brandtkit.quatalg import ConsistencyError, construct_algebra, mul4
 
@@ -55,6 +55,12 @@ def test_sparse_mul_shapes():
     out = sparse_mul([[0], [0]], [[5]])
     out[0][0] = 1
     assert out == [[1], [0]]
+
+
+def test_mat_mul_float_entries_are_left_folds():
+    # from Python 3.12 the builtin sum compensates float sums and would
+    # keep the 1.0; a record's floats must not depend on the version
+    assert mat_mul([[1e16, 1.0, -1e16]], [[1.0], [1.0], [1.0]]) == [[0.0]]
 
 
 def low_rank(rng, rows, cols, rank, top):
@@ -125,22 +131,22 @@ def random_poly(rng, d):
     return [rng.randint(-9, 9) for _ in range(d)] + [lead]
 
 
-def random_polys(rng, count, p=None):
+def random_polys(rng, count, p):
     """Integer polynomials in ascending order, of degree 0..10 (0..p when
     p > 10, so that p divides some degrees): a third with a squared factor
-    (over Z, or only mod p when p is given: g^2 h plus p times a
-    polynomial of lower degree), some with a leading coefficient divisible
-    by p, some with zeros past the leading coefficient."""
+    (over Z, or only mod p: g^2 h plus p times a polynomial of lower
+    degree), some with a leading coefficient divisible by p, some with
+    zeros past the leading coefficient."""
     for _ in range(count):
-        d = rng.randint(0, max(10, p or 0))
+        d = rng.randint(0, max(10, p))
         if d >= 2 and rng.random() < 1 / 3:
             g = random_poly(rng, rng.randint(1, d // 2))
             f = poly_mul(poly_mul(g, g), random_poly(rng, d - 2 * (len(g) - 1)))
-            if p is not None and rng.random() < 0.5:
+            if rng.random() < 0.5:
                 f = [c + p * rng.randint(-3, 3) for c in f[:-1]] + f[-1:]
         else:
             f = random_poly(rng, d)
-        if p is not None and d >= 1 and rng.random() < 0.1:
+        if d >= 1 and rng.random() < 0.1:
             f[-1] = p * rng.choice([1, -2])
         if rng.random() < 0.2:
             f = f + [0] * rng.randint(1, 3)
@@ -148,29 +154,12 @@ def random_polys(rng, count, p=None):
 
 
 def test_constant_and_zero_polynomials():
-    assert poly_is_squarefree([5]) is True
-    assert poly_is_squarefree([-3, 0, 0]) is True
-    assert poly_is_squarefree([0]) is False
-    assert poly_is_squarefree([0, 0, 0]) is False
-    assert poly_is_squarefree([]) is False
     for p in (2, 3, 7):
         assert is_irreducible_mod([5 * p + 1], p) is False
         assert is_irreducible_mod([0], p) is False
         assert is_irreducible_mod([p, 2 * p, 0], p) is False  # zero mod p
         assert is_irreducible_mod([1, p], p) is False  # constant mod p
         assert is_irreducible_mod([1, 1 + p, 0], p) is True  # degree 1
-
-
-def test_poly_is_squarefree_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    rng = random.Random(41)
-    seen_not = 0
-    for f in random_polys(rng, 600):
-        want = sympy.Poly(f[::-1], x, domain="QQ").is_sqf if any(f) else False
-        assert poly_is_squarefree(f) == want, f
-        seen_not += not want
-    assert seen_not > 100
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

@@ -96,14 +96,14 @@ def _expansion_cell(coll, spec, i, j):
         B = coll.matrix(m)
         lhs = float(w[i] * B[i][j])
         scale = max(scale, abs(lhs))
-        rhs = sum((w[j] * spec.eigenvectors[k][j]) *
-                  (w[i] * spec.eigenvectors[k][i]) * spec.character(k, m)
-                  for k in range(n))
+        rhs = oracles.left_fold((w[j] * spec.eigenvectors[k][j]) *
+                                (w[i] * spec.eigenvectors[k][i]) *
+                                spec.character(k, m) for k in range(n))
         worst = max(worst, abs(lhs - rhs))
         for k in range(n):
             one_lhs = w[i] * spec.eigenvectors[k][i] * spec.character(k, m)
-            one_rhs = w[i] * sum(spec.eigenvectors[k][l] * B[i][l]
-                                 for l in range(n))
+            one_rhs = w[i] * oracles.left_fold(spec.eigenvectors[k][l] *
+                                               B[i][l] for l in range(n))
             worst = max(worst, abs(one_lhs - one_rhs))
     return worst, scale
 
@@ -251,14 +251,14 @@ def test_probe_trivial_for_two_classes():
 def test_probe_field_verdicts():
     for N in (23, 41):
         coll, _ = pipeline(N)
-        verdict, detail = hecke_field_probe(coll, seed=0)
+        verdict, detail = hecke_field_probe(coll)
         assert verdict == "field", (N, detail)
         assert "irreducible mod" in detail
 
 
 def test_probe_product_verdict_level_37():
     coll, _ = pipeline(37)
-    verdict, detail = hecke_field_probe(coll, seed=0)
+    verdict, detail = hecke_field_probe(coll)
     assert verdict == "product"
     assert detail == ("rho = 1: idempotents (1 +- B(N))/2 split the kernel "
                       "into degrees 1 and 1")
@@ -266,19 +266,17 @@ def test_probe_product_verdict_level_37():
 
 def test_probe_charpoly_path_level_71():
     # B(71) is +-1 on the whole cusp space, so rho gives no certificate and
-    # the charpoly of a generic combination has to split (degrees 3 and 3)
-    # the same factor whichever squarefree combination the seed draws
+    # the kernel charpoly of the battery's cyclic T has to split (degrees 3
+    # and 3)
     coll, _ = pipeline(71)
     assert exact_rho(coll.matrix(71)) in (0, coll.n - 1)
-    for seed in range(5):
-        verdict, detail = hecke_field_probe(coll, seed=seed)
-        assert verdict == "product", seed
-        assert detail == "charpoly has exact factor of degree 3", seed
+    assert hecke_field_probe(coll) == (
+        "product", "charpoly has exact factor of degree 3")
 
 
 class _StubCollection:
-    """Three classes at level 11 with B(11) = I (rho = 0) and one probe
-    prime, 2."""
+    """Three classes at level 11 with B(11) = I (rho = 0) and B(2): the
+    probe's T_1 is B(2), its T_2 is B(2) + 2 I."""
 
     level = 11
     n = 3
@@ -291,34 +289,55 @@ class _StubCollection:
         return self._b2 if m == 2 else [[int(a == b) for b in range(3)]
                                         for a in range(3)]
 
+    def available(self):
+        return [1, 2, 11]
 
-def test_probe_inconclusive_without_squarefree_combination():
-    # every combination of a scalar B(2) has a repeated kernel eigenvalue
+
+def test_probe_inconclusive_without_cyclic_operator():
+    # a scalar B(2) and B(11) = I make every T_k scalar
     coll = _StubCollection([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
-    assert hecke_field_probe(coll, seed=0) == (
-        "inconclusive", "no squarefree combination found")
+    assert hecke_field_probe(coll) == (
+        "inconclusive", "no T_1..T_3 has a cyclic vector")
 
 
 def test_probe_inconclusive_when_every_difference_generates():
-    # column sums 3; kernel eigenvectors (1, 1, -2) at 0 and (1, -2, 1) at
-    # 3, so the kernel charpoly splits over Q but no e_i - e_j is an
-    # eigenvector and each one's orbit is the whole kernel
-    B2 = [[2, 0, 1], [-1, 3, 1], [2, 0, 1]]
-    assert [sum(col) for col in zip(*B2)] == [3, 3, 3]
+    # column sums 4, the Eisenstein eigenvalue; kernel eigenvectors
+    # (1, 1, -2) at 0 and (1, -2, 1) at 3.  The three eigenvalues are
+    # distinct, so T_1 = B(2) is cyclic; the kernel charpoly splits over Q
+    # but no e_i - e_j is an eigenvector and each one's orbit is the whole
+    # kernel
+    B2 = [[3, 1, 2], [-1, 3, 1], [2, 0, 1]]
+    assert [sum(col) for col in zip(*B2)] == [4, 4, 4]
     for u, lam in (((1, 1, -2), 0), ((1, -2, 1), 3)):
         assert [sum(a * b for a, b in zip(row, u)) for row in B2] == \
             [lam * a for a in u]
     coll = _StubCollection(B2)
-    assert hecke_field_probe(coll, seed=0) == (
+    assert hecke_field_probe(coll) == (
         "inconclusive", "every class difference generates the cusp space")
+
+
+def test_probe_cyclic_branch_runs_only_at_oggs_seven_levels():
+    # rho = (n - tr B(N))/2 = 0 with n >= 3 only where every supersingular
+    # j lies in F_N (Ogg 1975), by the class number and trace formulas
+    levels = [N for N in oracles.primes_upto(2000)
+              if 3 <= oracles.eichler_class_number(N)
+              == oracles.brandt_trace(N, N)]
+    assert levels == [23, 29, 31, 41, 47, 59, 71]
+
+
+@pytest.mark.parametrize("N", [23, 31, 47])
+def test_probe_detail_does_not_depend_on_the_seed(N):
+    # the seed moves only the float frame; the probe's T is the battery's
+    detail = cached_analysis(N).report.field_detail
+    for seed in (3, 4):
+        assert cached_analysis(N, seed=seed).report.field_detail == detail
 
 
 def test_probe_product_verdict_level_401():
     # above the tested range: the charpoly probe ended "inconclusive" here
-    # (kernel charpoly factors with degrees 12 and 21); bound 8 covers the
-    # probe's four primes
+    # (kernel charpoly factors with degrees 12 and 21); rho decides it now
     coll, _ = pipeline(401, bound=8)
-    verdict, detail = hecke_field_probe(coll, seed=0)
+    verdict, detail = hecke_field_probe(coll)
     assert verdict == "product", detail
     assert detail == ("rho = 12: idempotents (1 +- B(N))/2 split the kernel "
                       "into degrees 21 and 12")
