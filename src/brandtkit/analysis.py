@@ -69,7 +69,7 @@ def analyze(N, coeffs=None, seed=0, oracle=False, max_oracle_level=100):
                        f"{oracle_report['j_count']} j-invariants matched"))
 
     generated_at = datetime.now(timezone.utc).isoformat()
-    record = build_record(coll, spec, report, seed, generated_at,
-                          oracle_report=oracle_report, checks=checks)
+    record = build_record(coll, spec, report, seed, generated_at, checks,
+                          oracle_report=oracle_report)
     return AnalysisResult(classes, coll, spec, report, oracle_report, checks,
                           record)

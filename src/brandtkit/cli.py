@@ -130,68 +130,47 @@ def _sweep_level(N, args):
                         f"{status}")
 
 
-def _sweep_worker(levels, args, conn):
-    """A worker process of `sweep`: run its levels in order and send
-    (failed, row) for each.  It writes the records, so the parent never
-    holds one."""
-    with conn:
-        for N in levels:
-            conn.send(_sweep_level(N, args))
-
-
 def cmd_sweep(args):
     """Each prime level is an independent computation, so the levels run in
-    one worker process per usable CPU, worker k taking every k-th level;
-    rows print in ascending N.  A worker that dies without an exception
-    (SIGKILL, the OOM killer) leaves its pipe at end of file: the sweep then
-    stops with an error and exit 1, keeping the rows printed and the records
-    written so far."""
+    a pool of spawned workers, one per usable CPU, each taking the next
+    level when free; rows print in ascending N as they complete.  A worker
+    that dies without an exception (SIGKILL, the OOM killer) breaks the
+    pool: the sweep stops with `error: a worker died at level N` and exit 1,
+    keeping the rows printed and the records written so far.  However the
+    sweep ends, the levels not yet started are cancelled."""
     if args.start > args.stop:
         print("error: empty range", file=sys.stderr)
         return 2
     header = (f"{'N':>5}  {'n':>3}  {'dims':<18} {'conjecture':<11}"
               f"{'rho':>4}  verdict")
-    print(header)
+    print(header, flush=True)
     levels = [N for N in range(max(args.start, 2), args.stop + 1)
               if is_prime(N)]
     if not levels:
         return 0
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    jobs = min(len(levels), cpus)
-    # imported here: it costs about 10 ms, which analyze and verify skip
+    # imported here: they cost about 15 ms, which analyze and verify skip
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
     # spawn, not fork: workers start from a fresh import, whatever threads
     # or state the calling process holds, on every platform alike
-    ctx = get_context("spawn")
-    workers = []
-    failures, finished = 0, False
+    pool = ProcessPoolExecutor(min(len(levels), cpus),
+                               mp_context=get_context("spawn"))
+    failures = 0
     try:
-        for k in range(jobs):
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_sweep_worker,
-                               args=(levels[k::jobs], args, send_end))
-            proc.start()
-            workers.append((proc, recv_end))
-            send_end.close()  # the worker holds the only write end
-        for i, N in enumerate(levels):
-            proc, conn = workers[i % jobs]
+        rows = pool.map(_sweep_level, levels, [args] * len(levels))
+        for N in levels:
             try:
-                failed, row = conn.recv()
-            except EOFError:
-                proc.join()
-                print(f"error: the worker for level {N} died "
-                      f"(exit code {proc.exitcode})", file=sys.stderr)
+                failed, row = next(rows)
+            except BrokenProcessPool:
+                print(f"error: a worker died at level {N}", file=sys.stderr)
                 return 1
             failures += failed
-            print(row)
-        finished = True
+            print(row, flush=True)
     finally:
-        for proc, conn in workers:
-            if not finished:
-                proc.terminate()
-            proc.join()
-            conn.close()
+        pool.shutdown(cancel_futures=True)
     return 1 if failures else 0
 
 
@@ -258,7 +237,17 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point stdout at devnull, so
+        # that the flush at exit does not fail again, and exit 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

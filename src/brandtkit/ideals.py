@@ -278,16 +278,12 @@ def enumerate_classes(order):
                 break
         if mass > target:
             raise ConsistencyError("mass overshot (N-1)/12; duplicate classes?")
-    _check_class_invariants(classes, target)
-    return classes
-
-
-def _check_class_invariants(classes, target):
-    if classes.mass() != target:
-        raise ConsistencyError("mass formula failed after enumeration")
+    # the walk ends at mass >= target and an overshoot raises, so it leaves
+    # at mass == target; the weight product is a separate fact
     prod = 1
     for w in classes.weights:
         prod *= w
     if prod != target.denominator:
         raise ConsistencyError(
             f"weight product {prod} != mass denominator {target.denominator}")
+    return classes

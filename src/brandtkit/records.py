@@ -37,8 +37,8 @@ def float_str(x):
     return "%.12g" % float(x)
 
 
-def build_record(coll, spec, report, seed, generated_at, oracle_report=None,
-                 checks=None):
+def build_record(coll, spec, report, seed, generated_at, checks,
+                 oracle_report=None):
     classes = coll.classes
     n = coll.n
     brandt = {str(m): [list(row) for row in coll.matrix(m)]
@@ -80,8 +80,7 @@ def build_record(coll, spec, report, seed, generated_at, oracle_report=None,
             "field_detail": report.field_detail,
             "hecke_conjecture": report.hecke_conjecture_holds,
         },
-        "checks": [[name, bool(ok), detail] for name, ok, detail in
-                   (checks if checks is not None else report.checks)],
+        "checks": [[name, bool(ok), detail] for name, ok, detail in checks],
         "oracle": oracle_report,
     }
     return record

@@ -7,7 +7,8 @@ number as |Sigma(i)| = #{k : ([i], f_k) != 0}; the two must agree, and the
 eigenforms labelled by Sigma(i) are a basis.
 
 All headline dimensions come from fraction-free integer rank; the numeric
-set Sigma(i) is reconciled against that rank and never trusted on its own.
+set Sigma(i) is picked once and only checked against that rank, never
+trusted on its own.
 
 The count rho of cusp forms with B(N)-eigenvalue -1 is exact as well:
 B(N) is 1 on the Eisenstein vector and +-1 on the cusp forms, so
@@ -96,37 +97,21 @@ def full_span_check(coll):
     return rank == coll.n, rank
 
 
-def sigma_set(spec, i, target=None):
-    """Labels k (1-based) with ([i], f_k) != 0, decided at tolerance t.
+def sigma_set(spec, i):
+    """Labels k (1-based) with ([i], f_k) != 0, decided at SIGMA_TOL.
 
     The pairing values are w_i * f_ik; a value counts as nonzero when it
-    exceeds t = SIGMA_TOL times the largest pairing value of that eigenvector.
-    When the expected cardinality (the exact rank) is supplied, a mismatch
-    moves t by decades up to three times before giving up.
+    exceeds SIGMA_TOL times the largest pairing value of that eigenvector.
+    The set is a float proposal: theta-rank-consistency compares its size
+    with the exact rank.
     """
-    n = spec.n
     w = spec.weights
-
-    def pick(t):
-        labels = set()
-        for k in range(n):
-            vals = [abs(w[a] * spec.eigenvectors[k][a]) for a in range(n)]
-            scale = max(vals)
-            if vals[i] > t * scale:
-                labels.add(k + 1)
-        return labels
-
-    labels = pick(SIGMA_TOL)
-    if target is None or len(labels) == target:
-        return labels
-    t = SIGMA_TOL
-    for _ in range(3):
-        t = t / 10.0 if len(labels) < target else t * 10.0
-        labels = pick(t)
-        if len(labels) == target:
-            return labels
-    raise ConsistencyError(
-        f"Sigma({i + 1}) has {len(labels)} labels but exact rank is {target}")
+    labels = set()
+    for k, f in enumerate(spec.eigenvectors):
+        vals = [abs(wa * fa) for wa, fa in zip(w, f)]
+        if vals[i] > SIGMA_TOL * max(vals):
+            labels.add(k + 1)
+    return labels
 
 
 def verify_expansion_identities(coll, spec):
@@ -282,12 +267,12 @@ class ThetaReport:
 
 
 def build_report(coll, spec):
-    """Assemble the full report, reconciling numeric sets with exact ranks."""
+    """Assemble the full report, checking numeric sets against exact ranks."""
     n = coll.n
     checks = []
 
     dims = theta_ranks(_theta_series(coll), n)
-    sigma_sets = [sigma_set(spec, i, target=dims[i]) for i in range(n)]
+    sigma_sets = [sigma_set(spec, i) for i in range(n)]
     checks.append(("theta-rank-consistency",
                    all(len(sigma_sets[i]) == dims[i] for i in range(n)),
                    f"dims {dims}"))

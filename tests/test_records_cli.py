@@ -2,6 +2,7 @@ import copy
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -335,12 +336,49 @@ def test_cli_sweep_stops_when_a_worker_dies(tmp_path):
     # a worker killed without an exception (SIGKILL, the OOM killer) in the
     # middle of the sweep ends it with an error and exit 1, not a hang
     proc = subprocess.run(
-        [sys.executable, "-c", KILL_ONE_WORKER, str(tmp_path)],
+        [sys.executable, "-X", "dev", "-W", "error", "-c", KILL_ONE_WORKER,
+         str(tmp_path)],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": SRC_DIR})
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert "error: " in proc.stderr
+    assert re.search(r"^error: a worker died at level \d+$", proc.stderr,
+                     re.MULTILINE), proc.stderr
+
+
+def _cli(*argv):
+    # block-buffered stdout, as when a user pipes the output
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    env.pop("PYTHONUNBUFFERED", None)
+    return [sys.executable, "-X", "dev", "-W", "error", "-m", "brandtkit.cli",
+            *argv], env
+
+
+def test_cli_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # `sweep 2 139 | head -1`: the reader goes after the header, and the
+    # sweep stops after the levels already running
+    cmd, env = _cli("sweep", "2", "139", "--cache-dir", str(tmp_path / "s"))
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == SWEEP_HEADER + "\n"
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 1
+    assert "Traceback" not in stderr and "Exception" not in stderr, stderr
+    assert len(os.listdir(tmp_path / "s")) < 34
+    # `analyze` into a pipe that is closed before the first write
+    cmd, env = _cli("analyze", "37", "--cache-dir", str(tmp_path / "a"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(cmd, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception" not in proc.stderr, proc.stderr
+
 
 def test_cli_sweep_empty_range(capsys):
     assert main(["sweep", "5", "3"]) == 2

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import enumerate_classes
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
+from brandtkit.records import build_record, to_json, verify_record
 from brandtkit.report import (SERIES_TOL, atkin_lehner_rho, build_report,
                               dim_theta_exact, exact_rho, full_span_check,
                               hecke_field_probe, sigma_set, theta_ranks,
@@ -68,12 +70,24 @@ def test_sigma_sets_level_37():
             assert sigma_set(spec, i) == {1, 2, 3}
 
 
-def test_sigma_set_target_reconciliation():
+def test_sigma_set_size_mismatch_fails_the_ledger_and_verify():
+    # Sigma(i) is picked once; a set whose size is not the exact rank is a
+    # failing ledger entry in a written record, not an exception.  At N = 37
+    # the fixed class pairs to zero with one cusp form: push it off zero
     coll, spec = pipeline(37)
     star = star_class(coll)
-    assert sigma_set(spec, star, target=2) == {2, 3}
-    with pytest.raises(ConsistencyError):
-        sigma_set(spec, star, target=0)
+    bad = copy.deepcopy(spec)
+    (k,) = set(range(1, 4)) - sigma_set(spec, star)
+    bad.eigenvectors[k - 1][star] = 0.5
+    assert sigma_set(bad, star) == {1, 2, 3}
+    report = build_report(coll, bad)
+    ledger = {name: ok for name, ok, _ in report.checks}
+    assert ledger["theta-rank-consistency"] is False
+    record = json.loads(to_json(build_record(coll, bad, report, 0, "now",
+                                             report.checks)))
+    replay = {name: ok for name, ok, _ in verify_record(record)}
+    assert replay["sigma-set-sizes"] is False
+    assert replay["theta-dims"] is True
 
 
 def test_expansion_identities_within_tolerance():
