@@ -6,9 +6,10 @@ division must come out exact; a remainder means the classes or weights are
 wrong, and that is treated as an internal error rather than rounded away.
 B(N) comes from the two-sided ideal P of norm N: [I] -> [P I] is a
 permutation sigma of the classes, and B(N)_ij = 1 exactly when P I_i lies
-in the class of I_j (Pizer 1980).  ClassList.find looks the class up, with
-the exact equivalence test run only against the classes that share the
-theta-prefix key of P I_i.
+in the class of I_j (Pizer 1980).  P I_i = pi I_i has the theta-prefix
+key of I_i (ideals.pi_times), and ClassList.find looks the class up under
+that key, with the exact equivalence test run only against the classes
+that share it.
 
 Only one module per orbit of <sigma, transpose> on the pairs is counted,
 and only up to the coefficient bound M.  Conjugation maps M_ji onto a
@@ -16,6 +17,8 @@ rational multiple of M_ij with the same normalized norm form.  With
 P I_i = I_sigma(i) a_i, M_sigma(i)sigma(j) = a_j^-1 M_ij a_i, because
 P^-1 P = O; it has the same normalized norm form as well.  So the counts
 of M_ij fill (i, j), (j, i), (sigma(i), sigma(j)) and (sigma(j), sigma(i)).
+The pair {0, j} is counted on M_j0 = O I_j = I_j, the class's own lattice,
+already reduced for its key.
 When N > M, B(N) is the permutation matrix of sigma; when N <= M it comes
 from the counts like every other B(m), and must equal that matrix.
 
@@ -31,9 +34,8 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .ideals import LeftIdeal, two_sided_ideal
+from .ideals import LeftIdeal, pi_times, two_sided_ideal
 from .intmat import combination, identity, rank_mod, sparse_mul, transpose
-from .lattices import product_lattice
 from .quatalg import ConsistencyError, is_prime
 
 
@@ -66,7 +68,7 @@ class BrandtCollection:
             for j in range(i, self.n):
                 if (i, j) in counts:
                     continue
-                c = self.classes.translation_module(i, j).counts_up_to(
+                c = self.classes.translation_module(j, i).counts_up_to(
                     self.bound)
                 for a, b in ((i, j), (sigma[i], sigma[j])):
                     counts[a, b] = counts[b, a] = c
@@ -80,13 +82,13 @@ class BrandtCollection:
                 "B(N) from the counts is not the permutation [I] -> [P I]")
 
     def _level_involution(self):
-        """sigma with P I_i in the class of I_sigma(i)."""
+        """sigma with P I_i = pi I_i in the class of I_sigma(i)."""
         classes = self.classes
-        P = two_sided_ideal(classes.order)
+        two_sided_ideal(classes.order)  # certifies pi
         sigma = []
         for i, I in enumerate(classes.ideals):
-            j = classes.find(
-                LeftIdeal(classes.order, product_lattice(P, I.lattice)))
+            j = classes.find(LeftIdeal(classes.order, pi_times(I.lattice)),
+                             classes.keys[i])
             if j is None:
                 raise ConsistencyError(f"P I_{i + 1} lies in no known class")
             sigma.append(j)

@@ -15,7 +15,9 @@ only against known classes with the key of the ideal it looks up; the
 class walk and the B(N) read-off both go through it (Kirschmer and
 Voight, "Algorithmic enumeration of ideal classes for quaternion orders",
 SIAM J. Comput. 2010).  The key only filters: two classes may share it,
-and equivalence is still decided by is_equivalent.
+and equivalence is still decided by is_equivalent, with no product
+lattice: alpha = x^-1 y for y the first row of I's reduced basis and x
+each vector of J of y's normalized value, then J alpha = I by membership.
 
 Every ideal here is an invertible lattice, so inverses and right orders
 have closed forms: I^-1 = conj(I) / nrd(I) and O_R(I) = conj(I) I / nrd(I),
@@ -25,7 +27,10 @@ two-sided ideal P of norm N is closed form as well: P = O pi for one
 element pi of reduced norm N that the order contains (j, or 1 + i at
 N = 2).  It equals N O^#, with O^# the dual of the order under the reduced
 trace form: P is the only two-sided ideal of norm N, so it is the different
-of O and conj(P) = P, and O^# = P^-1 = conj(P) / N.
+of O and conj(P) = P, and O^# = P^-1 = conj(P) / N.  P I = pi O I = pi I
+has four generating rows.  Where 1 lies in one factor (L L = L for an
+order, O I = I, O P = P), a product equals the other factor exactly when
+it lies inside it, and QuatLattice.contains_products checks that.
 
 Etymology of the weights: w_i is the unit group of the right order R_i of
 I_i modulo {+-1}, i.e. half the number of norm-1 vectors of R_i.
@@ -38,7 +43,7 @@ from itertools import product
 from .intmat import hnf, mat_mul
 from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder
-from .quatalg import ConsistencyError, mul4
+from .quatalg import ConsistencyError, mul4, norm4
 
 
 class LeftIdeal:
@@ -85,10 +90,10 @@ def ideal_inverse(lattice):
 def two_sided_ideal(order):
     """The two-sided ideal P of reduced norm N of a maximal order of level N.
 
-    P = O pi with pi = j, of reduced norm N in every algebra (a, -N) that
+    P = pi O with pi = j, of reduced norm N in every algebra (a, -N) that
     `construct_algebra` returns for odd N, and pi = 1 + i in (-1, -1) at
     N = 2; each Pizer basis contains pi.  O is maximal and B ramifies only
-    at N, so O pi is the unique two-sided ideal of norm N: at N, O is the
+    at N, so pi O is the unique two-sided ideal of norm N: at N, O is the
     valuation ring of a division algebra, with one maximal ideal, and at
     every other p it is M_2(Z_p), whose two-sided ideals are p^k O.  P is
     therefore the different of O, and it equals N O^#, O^# the dual of O
@@ -97,22 +102,48 @@ def two_sided_ideal(order):
     computing modular forms on Gamma_0(N)", J. Algebra 1980).
     """
     lat = order.lattice
-    alg = lat.alg
-    N = alg.level
-    pi = (1, 1, 0, 0) if N == 2 else (0, 0, 1, 0)
-    P = QuatLattice.from_rows(
-        alg, [mul4(alg.a, alg.b, r, pi) for r in lat.mat], lat.den)
+    N = lat.alg.level
+    P = pi_times(lat)
     if P.content() != N:
         raise ConsistencyError(f"two-sided ideal has norm {P.content()}, not {N}")
-    if product_lattice(P, lat) != P:
-        raise ConsistencyError("O pi is not a right ideal of the order")
+    if not P.contains_products(lat.mat, P.mat, lat.den * P.den):
+        raise ConsistencyError("pi O is not a left ideal of the order")
     return P
 
 
+def pi_times(lattice):
+    """pi L for the pi of two_sided_ideal.  For a left ideal I this is
+    P I = pi O I, and x -> pi x scales every reduced norm by N, so P I has
+    the normalized norm form, and the class_key, of I."""
+    alg = lattice.alg
+    pi = (1, 1, 0, 0) if alg.level == 2 else (0, 0, 1, 0)
+    return QuatLattice.from_rows(
+        alg, [mul4(alg.a, alg.b, pi, r) for r in lattice.mat], lattice.den)
+
+
 def is_equivalent(I, J):
-    """Same left ideal class: the normalized norm form on J^-1 I represents 1."""
-    lat = product_lattice(J.inverse(), I.lattice)
-    return lat.count_vectors(1) > 0
+    """Same left ideal class: I = J alpha for some alpha in B^x.
+
+    Let y be the first row of I's reduced basis, of normalized value m.  If
+    I = J beta, then x = y beta^-1 lies in J with normalized value m, and
+    beta = x^-1 y.  So it is enough to try alpha = x^-1 y for each x of J
+    of value m, one of each pair +-x.  J alpha <= I and I alpha^-1 <= J
+    give I = J alpha, four exact memberships each; the floats of the LLL
+    pass and the enumeration only choose y and list the x.
+    """
+    lat, jlat = I.lattice, J.lattice
+    a, b = lat.alg.a, lat.alg.b
+    y = lat.reduced_basis()[0]
+    ybar = (y[0], -y[1], -y[2], -y[3])
+    for x in jlat.vectors_of_value(lat.norm_value(y)):
+        # r alpha = r conj(x) y / nrd(x), s alpha^-1 = s conj(y) x / nrd(y)
+        xbar = (x[0], -x[1], -x[2], -x[3])
+        if (lat.contains_products(jlat.mat, [mul4(a, b, xbar, y)],
+                                  norm4(a, b, x) * lat.den)
+                and jlat.contains_products(lat.mat, [mul4(a, b, ybar, x)],
+                                           norm4(a, b, y) * jlat.den)):
+            return True
+    return False
 
 
 def unit_weight(order):
@@ -144,7 +175,7 @@ def p_neighbors(ideal, p):
     if p == alg.level:
         raise ValueError("neighbor prime must differ from the level")
     olat = ideal.order.lattice
-    if product_lattice(olat, lat) != lat:
+    if not lat.contains_products(olat.mat, lat.mat, olat.den * lat.den):
         raise ConsistencyError("lattice is not left-stable")
     pI = [[p * (r == c) for c in range(4)] for r in range(4)]
     planes = {}
@@ -194,7 +225,8 @@ class ClassList:
     """Representatives of the left ideal classes of a maximal order.
 
     The classes are indexed by class_key, so find() runs the exact
-    is_equivalent only against known classes with the same key.
+    is_equivalent only against known classes with the same key; keys[i]
+    is the key of class i.
     """
 
     def __init__(self, level, order, ideals, right_orders, weights):
@@ -204,6 +236,7 @@ class ClassList:
         self.ideals = []
         self.right_orders = []
         self.weights = []
+        self.keys = []
         self._by_key = {}
         self._translations = {}
         for entry in zip(ideals, right_orders, weights, strict=True):
@@ -217,15 +250,21 @@ class ClassList:
         """Append a new class; the caller knows that it is new."""
         key = class_key(ideal, self.level)
         self._by_key.setdefault(key, []).append(self.n)
-        # conj(I) I / nrd(I) is I^-1 I, the same canonical lattice
+        self.keys.append(key)
+        # I_0 = O, so M_i0 = O I = I; and conj(I) I / nrd(I) is I^-1 I,
+        # the same canonical lattice
+        self._translations[self.n, 0] = ideal.lattice
         self._translations[self.n, self.n] = right_order.lattice
         self.ideals.append(ideal)
         self.right_orders.append(right_order)
         self.weights.append(weight)
 
-    def find(self, ideal):
-        """The index of the known class that contains ideal, or None."""
-        for i in self._by_key.get(class_key(ideal, self.level), ()):
+    def find(self, ideal, key=None):
+        """The index of the known class that contains ideal, or None; key
+        is the ideal's class_key when the caller already knows it."""
+        if key is None:
+            key = class_key(ideal, self.level)
+        for i in self._by_key.get(key, ()):
             if is_equivalent(ideal, self.ideals[i]):
                 return i
         return None

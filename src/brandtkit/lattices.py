@@ -12,14 +12,17 @@ row lies in the lattice exactly when every pivot division is exact.
 
 Vector counting follows the usual hybrid.  One L^2-style LLL pass decides
 its steps in floats and updates the Gram matrix by exact integer operations;
-its float LDL^T proposes candidate boxes (slightly inflated), and every
+it mirrors every step on the basis rows, which the lattice keeps.  Its
+float LDL^T proposes candidate boxes (slightly inflated), and every
 candidate is accepted or rejected with an exact integer evaluation of the
 reduced norm form.  Counts are cached per lattice up to the largest bound
-requested so far; the LLL pass runs once per lattice.
+requested so far, and the same descent lists the rows of one value
+(vectors_of_value), cached per value; the LLL pass runs once per lattice.
 """
 
 from fractions import Fraction
 from math import ceil, floor, gcd, sqrt
+from operator import mul
 
 from .intmat import hnf, left_sum
 from .quatalg import ConsistencyError, bilin4, mul4, norm4
@@ -29,7 +32,7 @@ class QuatLattice:
     """Full lattice (rank 4) in a definite quaternion algebra."""
 
     __slots__ = ("alg", "mat", "den", "_content", "_gram_int",
-                 "_reduced", "_count_bound", "_counts")
+                 "_reduced", "_rows", "_count_bound", "_counts", "_by_value")
 
     def __init__(self, alg, mat, den):
         if den == 0:
@@ -53,8 +56,10 @@ class QuatLattice:
         self._content = None
         self._gram_int = None
         self._reduced = None
+        self._rows = None
         self._count_bound = -1
         self._counts = None
+        self._by_value = {}
 
     # -- construction ------------------------------------------------------
 
@@ -122,6 +127,19 @@ class QuatLattice:
             coeffs.append(c)
         return coeffs
 
+    def contains_products(self, xs, ys, den):
+        """Every x * y / den, x in xs and y in ys integer rows, lies in the
+        lattice.  When one factor contains 1 and L is the other, L1 L2 = L
+        exactly when the products of the two bases lie in L: L <= L1 L2."""
+        a, b = self.alg.a, self.alg.b
+        for x in xs:
+            for y in ys:
+                row = [v * self.den for v in mul4(a, b, x, y)]
+                if (any(v % den for v in row)
+                        or self.coordinates([v // den for v in row]) is None):
+                    return False
+        return True
+
     def scaled(self, c):
         c = Fraction(c)
         mat = [[x * c.numerator for x in row] for row in self.mat]
@@ -143,12 +161,20 @@ class QuatLattice:
 
     # -- vector counting ----------------------------------------------------
 
+    def reduced_basis(self):
+        """LLL-reduced basis rows over den, with the Gram matrix that the
+        counts use: one LLL pass per lattice."""
+        if self._rows is None:
+            rows = [list(r) for r in self.mat]
+            self._reduced = _lll_gram(self.gram_int(), rows)
+            self._rows = rows
+        return self._rows
+
     def counts_up_to(self, bound):
         """dict m -> #{x in L : Q(x)/content = m} for 0 <= m <= bound."""
         if bound <= self._count_bound:
             return self._counts
-        if self._reduced is None:  # one LLL pass per lattice, whatever bound
-            self._reduced = _lll_gram(self.gram_int())
+        self.reduced_basis()
         counts = _count_by_value(self._reduced, self.content_int(), bound)
         self._count_bound = bound
         self._counts = counts
@@ -161,6 +187,16 @@ class QuatLattice:
         bound = m if m > self._count_bound else self._count_bound
         return self.counts_up_to(bound).get(m, 0)
 
+    def vectors_of_value(self, m):
+        """The rows x of the lattice with norm_value(x) = m >= 1, one of
+        each pair +-x, as integer rows over den; enumerated once per m."""
+        if m not in self._by_value:
+            rows, found = self.reduced_basis(), []
+            _count_by_value(self._reduced, self.content_int(), m, found)
+            self._by_value[m] = [[sum(map(mul, u, col)) for col in zip(*rows)]
+                                 for u in found]
+        return self._by_value[m]
+
     def theta_coefficients(self, bound):
         counts = self.counts_up_to(bound)
         return [counts.get(m, 0) for m in range(bound + 1)]
@@ -170,7 +206,7 @@ DELTA = 0.99  # Lovasz constant
 ETA = 0.51  # size-reduction bound on |mu|
 
 
-def _lll_gram(G):
+def _lll_gram(G, rows):
     """LLL-reduced Gram matrix with its float LDL^T: (A, L, D), A ~ L D L^T.
 
     An L^2-style loop (Nguyen-Stehle, "An LLL algorithm with quadratic
@@ -186,7 +222,8 @@ def _lll_gram(G):
     integer unimodular operation, so A is exactly the Gram matrix of a basis
     of the same lattice whatever they decide, and the enumeration accepts
     each candidate with the exact integer form A.  The entries of G must
-    convert to floats (below about 1e308).
+    convert to floats (below about 1e308).  rows, basis rows with Gram
+    matrix G, get every step mirrored on them in place.
     """
     A = [list(row) for row in G]
     n = len(A)
@@ -196,13 +233,16 @@ def _lll_gram(G):
     while k < n:
         Ak, Lk, rk = A[k], L[k], [0.0] * n
         while True:
+            reduced = True
             for j in range(k):
                 s = float(Ak[j])
                 for t in range(j):
                     s -= L[j][t] * rk[t]
                 rk[j] = s
                 Lk[j] = s / D[j]
-            if all(abs(Lk[j]) <= ETA for j in range(k)):
+                if not -ETA <= Lk[j] <= ETA:
+                    reduced = False
+            if reduced:
                 break
             for j in range(k - 1, -1, -1):
                 x = round(Lk[j])
@@ -213,6 +253,7 @@ def _lll_gram(G):
                         Ak[t] -= x * A[j][t]
                     for t in range(n):
                         A[t][k] -= x * A[t][j]
+                    rows[k] = [p - x * q for p, q in zip(rows[k], rows[j])]
         D[k] = float(Ak[k]) - left_sum(Lk[j] * rk[j] for j in range(k))
         if k == 0 or D[k] >= (DELTA - Lk[k - 1] ** 2) * D[k - 1]:
             k += 1
@@ -220,15 +261,18 @@ def _lll_gram(G):
             A[k], A[k - 1] = A[k - 1], A[k]
             for row in A:
                 row[k], row[k - 1] = row[k - 1], row[k]
+            rows[k], rows[k - 1] = rows[k - 1], rows[k]
             k -= 1
     if min(D) <= 0.0:
         raise ConsistencyError("norm form is not positive definite")
     return A, L, D
 
 
-def _count_by_value(reduced, cint, bound):
+def _count_by_value(reduced, cint, bound, found=None):
     """Exact histogram of Q/cint values <= bound on Z^4, given the output
-    (G, L, D) of _lll_gram: G the reduced Gram matrix, G ~ L D L^T.
+    (G, L, D) of _lll_gram: G the reduced Gram matrix, G ~ L D L^T.  A list
+    found collects the coefficient vectors of value exactly bound, one of
+    each pair +-u.
 
     The float descent only proposes candidates; each one is checked with the
     exact integer form G, so the counts are exact as long as the inflated
@@ -283,6 +327,8 @@ def _count_by_value(reduced, cint, bound):
                         if rem:
                             raise ConsistencyError(
                                 "lattice value escaped its content")
+                        if found is not None and m == bound:
+                            found.append((u0, u1, u2, u3))
                         if u0 or u1 or u2 or u3:
                             counts[m] = counts.get(m, 0) + 2
                         else:

@@ -17,7 +17,8 @@ denominator of its class (2, 2, 4 and 2r), 1, i, j, k as den times a unit
 row, and `QuatLattice.from_rows` puts them in HNF.  Nothing is searched
 for.  The lattice is built as a `QuatOrder`, which checks in integers that
 it contains 1 and is integral and closed under multiplication (L L = L,
-since 1 in L gives L inside L L), and its reduced discriminant must equal
+since 1 in L gives L inside L L, so the 16 products of basis rows must lie
+in L), and its reduced discriminant must equal
 N.  That discriminant is a closed form, 4 |a b| times the product of the
 HNF pivots over den^4, with no determinant taken.  It is the one
 certificate of the algebra as well: an order of reduced discriminant N, N
@@ -31,7 +32,7 @@ slip in a basis or in the algebra's recipe is therefore a loud
 
 from math import prod
 
-from .lattices import QuatLattice, product_lattice
+from .lattices import QuatLattice
 from .quatalg import ConsistencyError, ConstructionError, norm4
 
 
@@ -44,7 +45,8 @@ class QuatOrder:
         self._disc = None
         if lattice.coordinates([lattice.den, 0, 0, 0]) is None:
             raise ConsistencyError("order does not contain 1")
-        if product_lattice(lattice, lattice) != lattice:
+        if not lattice.contains_products(lattice.mat, lattice.mat,
+                                         lattice.den ** 2):
             raise ConsistencyError("order basis is not multiplicatively closed")
         # row r / den has trace 2 r[0] / den and norm norm4(r) / den^2
         a, b, den = self.alg.a, self.alg.b, lattice.den

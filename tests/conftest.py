@@ -5,6 +5,8 @@ import brandtkit.ideals as ideals
 from brandtkit.analysis import analyze
 from brandtkit.intmat import sparse_mul
 
+import oracles
+
 _cache = {}
 
 # one "ACCEPTANCE k (...): PASS/FAIL" line per criterion, shown at the end
@@ -52,6 +54,23 @@ def is_equivalent_calls(monkeypatch):
 
     monkeypatch.setattr(ideals, "is_equivalent", counted)
     return calls
+
+
+@pytest.fixture
+def checked_equivalence(monkeypatch):
+    """Every is_equivalent made in brandtkit.ideals is checked against the
+    product test of oracles; the list holds the answers in order."""
+    answers = []
+    is_equivalent = ideals.is_equivalent
+
+    def checked(I, J):
+        got = is_equivalent(I, J)
+        assert got == oracles.is_equivalent_by_product(I, J)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(ideals, "is_equivalent", checked)
+    return answers
 
 
 def pytest_runtest_logreport(report):

@@ -16,8 +16,9 @@ from itertools import product
 from math import comb, gcd, isqrt
 from operator import add
 
+from brandtkit.ideals import ideal_inverse
 from brandtkit.intmat import mat_mul
-from brandtkit.lattices import QuatLattice
+from brandtkit.lattices import QuatLattice, product_lattice
 from brandtkit.quatalg import is_prime, legendre, mul4
 
 
@@ -460,6 +461,13 @@ def two_sided_ideal_by_dual(order):
              for c in range(4)] for r in range(4)]
     return QuatLattice.from_rows(lat.alg, rows, lat.den)
 
+
+def is_equivalent_by_product(I, J):
+    """Same left ideal class by the product test: I = J alpha exactly when
+    J^-1 I = conj(J) I / nrd(J) holds an alpha of nrd(alpha) = nrd(I) /
+    nrd(J), i.e. its normalized norm form represents 1."""
+    return product_lattice(ideal_inverse(J.lattice),
+                           I.lattice).count_vectors(1) > 0
 
 
 def _two_dim_subspaces(p):

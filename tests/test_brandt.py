@@ -357,8 +357,8 @@ def test_counted_level_matrix_must_match_the_involution(monkeypatch):
         for shift in (1, 2):
             looked_up = []
 
-            def misplaced(self, ideal):
-                j = find(self, ideal)
+            def misplaced(self, ideal, key=None):
+                j = find(self, ideal, key)
                 looked_up.append(j)
                 if len(looked_up) == wrong + 1:
                     return (j + shift) % self.n

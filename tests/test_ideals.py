@@ -11,7 +11,8 @@ from brandtkit import orders
 from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import (LeftIdeal, class_key, enumerate_classes,
                               ideal_inverse, is_equivalent, p_neighbors,
-                              right_order, two_sided_ideal, unit_weight)
+                              pi_times, right_order, two_sided_ideal,
+                              unit_weight)
 from brandtkit.lattices import QuatLattice, product_lattice
 from brandtkit.orders import QuatOrder, maximal_order, reduced_discriminant
 from brandtkit.quatalg import (ConsistencyError, ConstructionError,
@@ -147,6 +148,42 @@ def test_two_sided_ideal(N):
         assert product_lattice(P, I.lattice).content() == N * I.norm()
 
 
+@pytest.mark.parametrize("N", oracles.primes_upto(200) + [401])
+def test_pi_times_is_the_product_with_p(N):
+    # P I = pi I, and x -> pi x keeps the normalized norm form, so the key
+    # of I serves P I in the B(N) read-off
+    classes = classes_for(N)
+    P = two_sided_ideal(classes.order)
+    for i, I in enumerate(classes.ideals):
+        PI = LeftIdeal(classes.order, pi_times(I.lattice))
+        assert PI.lattice == product_lattice(P, I.lattice)
+        assert class_key(PI, N) == class_key(I, N) == classes.keys[i]
+
+
+@pytest.mark.parametrize("N", [2, 11, 37, 101])
+def test_closure_by_membership_matches_product_equality(N):
+    # each closure check reads L1 L2 = L as "the 16 products of basis rows
+    # lie in L", which needs 1 in one factor and L in {L1, L2}
+    order = maximal_order(construct_algebra(N))
+    O = order.lattice
+    P = two_sided_ideal(order)
+    _, ideals = ideals_with_neighbours(N)
+    cases = [(O, O, O), (P, O, P), (O, P, P)]
+    cases += [(O, I.lattice, I.lattice) for I in ideals]
+    cases += [(O, lat, lat) for lat in (
+        QuatLattice.from_rows(order.alg, *UNCLOSED_SEED),
+        QuatLattice.from_rows(order.alg, *LIPSCHITZ),
+        QuatLattice.from_rows(order.alg, *LIPSCHITZ).scaled(2))]
+    seed = QuatLattice.from_rows(order.alg, *UNCLOSED_SEED)
+    cases.append((seed, seed, seed))
+    answers = set()
+    for L1, L2, L in cases:
+        inside = L.contains_products(L1.mat, L2.mat, L1.den * L2.den)
+        assert inside == (product_lattice(L1, L2) == L)
+        answers.add(inside)
+    assert answers == {True, False}
+
+
 def test_two_sided_ideal_is_n_times_dual():
     for N in oracles.primes_upto(1100):
         order = maximal_order(construct_algebra(N))
@@ -232,9 +269,10 @@ def test_class_representatives_are_inequivalent():
 
 
 @pytest.mark.parametrize("N", [11, 37, 101, 197])
-def test_keyed_walk_matches_unkeyed_walk(N, monkeypatch):
+def test_keyed_walk_matches_unkeyed_walk(N, monkeypatch, checked_equivalence):
     # with one key for every ideal, find() tests each known class in turn,
-    # as the walk did before it had keys
+    # as the walk did before it had keys; every test, keyed or not, agrees
+    # with the product test
     keyed = classes_for(N)
     keyed_level_matrix = BrandtCollection(keyed, 1).matrix(N)
     monkeypatch.setattr(ideals_module, "class_key", lambda ideal, level: ())
@@ -243,6 +281,16 @@ def test_keyed_walk_matches_unkeyed_walk(N, monkeypatch):
             == [I.lattice for I in keyed.ideals])
     assert plain.weights == keyed.weights
     assert BrandtCollection(plain, 1).matrix(N) == keyed_level_matrix
+    assert set(checked_equivalence) == {True, False}
+
+
+@pytest.mark.parametrize("N", oracles.primes_upto(200) + [401])
+def test_equivalence_matches_product_test(N, checked_equivalence):
+    # every pair that find tests in the keyed walk and the B(N) read-off;
+    # each P I_i is found, so at least n answers are True
+    classes = classes_for(N)
+    BrandtCollection(classes, 1)
+    assert checked_equivalence.count(True) >= classes.n
 
 
 @pytest.mark.parametrize("N", [37, 101, 197])
@@ -281,6 +329,26 @@ def test_translation_modules_are_integral_counts():
         for i in range(classes.n):
             M = classes.translation_module(i, i)
             assert M.count_vectors(1) == 2 * classes.weights[i]
+
+
+@pytest.mark.parametrize("N, message", [
+    (23, "mass overshot"),
+    # at 11 the duplicates reach the mass exactly; P I_1 then finds no class
+    (11, "P I_1 lies in no known class"),
+])
+def test_a_missed_equivalence_is_a_consistency_error(N, message, monkeypatch):
+    monkeypatch.setattr(ideals_module, "is_equivalent", lambda I, J: False)
+    with pytest.raises(ConsistencyError, match=message):
+        BrandtCollection(classes_for(N), 1)
+
+
+def test_right_order_must_be_maximal():
+    # the Lipschitz lattice is its own right order, of discriminant 4N
+    order = maximal_order(construct_algebra(11))
+    lat = QuatLattice.from_rows(order.alg, *LIPSCHITZ)
+    with pytest.raises(ConsistencyError, match="right order of an ideal is "
+                       "not maximal"):
+        right_order(LeftIdeal(order, lat))
 
 
 def test_walk_that_finds_no_new_class_is_a_consistency_error(monkeypatch):

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import oracles
+from brandtkit.analysis import analyze
 from brandtkit.ideals import enumerate_classes
+from brandtkit.intmat import hnf
 from brandtkit.lattices import (QuatLattice, _count_by_value, _lll_gram,
                                 product_lattice)
 from brandtkit.orders import maximal_order
@@ -151,21 +154,25 @@ def test_product_lattice_of_order_is_order():
         assert product_lattice(lat, lat) == lat
 
 
-def random_spd_gram(rng, scale=6):
+def gram(rows):
+    return [[sum(map(mul, r, s)) for s in rows] for r in rows]
+
+
+def random_spd_basis(rng, scale=6):
     # T T^t is positive definite for any nonsingular integer T
     while True:
         T = [[rng.randint(-scale, scale) for _ in range(4)] for _ in range(4)]
-        G = [[sum(T[i][k] * T[j][k] for k in range(4)) for j in range(4)]
-             for i in range(4)]
         if oracles.rational_det(T) != 0:
-            return G
+            return T
 
 
 def test_lll_gram_preserves_determinant_and_reduces():
     rng = random.Random(21)
     for _ in range(12):
-        G = random_spd_gram(rng)
-        R, L, D = _lll_gram(G)
+        T = random_spd_basis(rng)
+        G, rows = gram(T), [row[:] for row in T]
+        R, L, D = _lll_gram(G, rows)
+        assert gram(rows) == R and hnf(rows) == hnf(T)
         assert oracles.rational_det(R) == oracles.rational_det(G)
         assert all(R[i][j] == R[j][i] for i in range(4) for j in range(4))
         assert min(R[i][i] for i in range(4)) <= min(G[i][i] for i in range(4))
@@ -183,7 +190,7 @@ def test_lll_gram_output_is_reduced():
     # and of the float LDL^T against it
     for N in (11, 37):
         for lat in translation_modules(N):
-            A, L, D = _lll_gram(lat.gram_int())
+            A, L, D = _lll_gram(lat.gram_int(), [list(r) for r in lat.mat])
             mu, B = oracles.gram_schmidt(A)
             for k in range(4):
                 assert all(abs(mu[k][j]) <= Fraction(51, 100)
@@ -211,8 +218,8 @@ def test_counts_on_skew_bases():
             f = rng.randint(20, 90)
             rows[r] = [x + f * y for x, y in zip(rows[r], rows[s])]
         G = [[bilin4(a, b, ri, rj) for rj in rows] for ri in rows]
-        assert _count_by_value(_lll_gram(G), lat.content_int(), 8) == want, \
-            digits
+        assert _count_by_value(_lll_gram(G, rows), lat.content_int(),
+                               8) == want, digits
 
 
 def test_lll_runs_once_per_lattice(monkeypatch):
@@ -221,9 +228,9 @@ def test_lll_runs_once_per_lattice(monkeypatch):
     calls = []
     lll = lattices._lll_gram
 
-    def counted(G):
+    def counted(G, rows):
         calls.append(G)
-        return lll(G)
+        return lll(G, rows)
 
     monkeypatch.setattr(lattices, "_lll_gram", counted)
     lat = order_lattice(37)
@@ -233,6 +240,43 @@ def test_lll_runs_once_per_lattice(monkeypatch):
     assert {m: c for m, c in big.items() if m <= 3} == small
     want = oracles.box_count(lat.gram_int(), lat.content_int(), 9)
     assert all(big.get(m, 0) == want.get(m, 0) for m in range(1, 10))
+
+
+@pytest.mark.parametrize("N", [37, 101, 197])
+def test_lll_carries_the_reduced_basis(N, monkeypatch):
+    # on every lattice the pipeline reduces, the carried rows span the
+    # lattice and have exactly the reduced Gram matrix
+    seen = {}
+    reduced_basis = QuatLattice.reduced_basis
+
+    def recorded(lat):
+        seen[id(lat)] = lat
+        return reduced_basis(lat)
+
+    monkeypatch.setattr(QuatLattice, "reduced_basis", recorded)
+    analyze(N)
+    assert seen
+    for lat in seen.values():
+        rows = reduced_basis(lat)
+        a, b = lat.alg.a, lat.alg.b
+        assert ([[bilin4(a, b, r, s) for s in rows] for r in rows]
+                == lat._reduced[0])
+        assert hnf(rows) == [list(r) for r in lat.mat]
+
+
+def test_vectors_of_value_match_the_counts():
+    # one of each pair +-x, every x in the lattice and of the given value
+    for lat in translation_modules(37) + [order_lattice(101)]:
+        counts = lat.counts_up_to(4)
+        for m in range(1, 5):
+            found = lat.vectors_of_value(m)
+            assert 2 * len(found) == counts.get(m, 0)
+            assert all(lat.norm_value(x) == m
+                       and lat.coordinates(x) is not None for x in found)
+            signed = {tuple(x) for x in found}
+            signed |= {tuple(-v for v in x) for x in found}
+            assert len(signed) == 2 * len(found)
+            assert lat.vectors_of_value(m) is found
 
 
 def test_extreme_translation_module_count():

@@ -45,8 +45,10 @@ def _comparable(record):
     return record
 
 
-@pytest.mark.parametrize("N", sorted(N for N in STORED if N <= 200))
+@pytest.mark.parametrize("N", sorted(STORED))
 def test_record_matches_stored(N):
+    # every stored level: 197 and 307 are the two above 139, and 307 is
+    # derogatory
     got = _comparable(json.loads(to_json(cached_analysis(N).record)))
     want = _comparable(json.loads(STORED[N]))
     assert sorted(got) == sorted(want)
