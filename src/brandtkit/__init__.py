@@ -3,7 +3,7 @@ definite quaternion algebra ramified at one prime."""
 
 from .analysis import AnalysisResult, analyze
 from .brandt import BrandtCollection, structural_checks
-from .ideals import (ClassList, LeftIdeal, enumerate_classes, ideal_inverse,
+from .ideals import (ClassList, enumerate_classes, ideal_inverse,
                      is_equivalent, p_neighbors, right_order, unit_weight)
 from .intmat import charpoly, exact_rank
 from .lattices import QuatLattice, product_lattice
@@ -27,7 +27,7 @@ __version__ = TOOL_VERSION
 __all__ = [
     "AnalysisResult", "analyze",
     "BrandtCollection", "structural_checks",
-    "ClassList", "LeftIdeal", "enumerate_classes", "ideal_inverse",
+    "ClassList", "enumerate_classes", "ideal_inverse",
     "is_equivalent", "p_neighbors", "right_order", "unit_weight",
     "charpoly", "exact_rank",
     "QuatLattice", "product_lattice",

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .ideals import LeftIdeal, pi_times, two_sided_ideal
+from .ideals import pi_times, two_sided_ideal
 from .intmat import combination, identity, rank_mod, sparse_mul, transpose
 from .quatalg import ConsistencyError, is_prime
 
@@ -87,8 +87,7 @@ class BrandtCollection:
         two_sided_ideal(classes.order)  # certifies pi
         sigma = []
         for i, I in enumerate(classes.ideals):
-            j = classes.find(LeftIdeal(classes.order, pi_times(I.lattice)),
-                             classes.keys[i])
+            j = classes.find(pi_times(I), classes.keys[i])
             if j is None:
                 raise ConsistencyError(f"P I_{i + 1} lies in no known class")
             sigma.append(j)

@@ -16,7 +16,6 @@ from .analysis import analyze
 from .quatalg import ConsistencyError, ConstructionError, is_prime
 from .records import (MigrationError, load_record, to_json, verify_record,
                       write_record)
-from .spectral import sturm_bound
 
 
 def default_cache_dir():
@@ -208,8 +207,6 @@ def build_parser():
                             "bound + 2)")
         p.add_argument("--seed", type=int, default=0,
                        help="PRNG seed for the generic Hecke combination")
-        p.add_argument("--json", action="store_true",
-                       help="print the machine-readable record")
         p.add_argument("--cache-dir", default=default_cache_dir(),
                        help="directory for cached records")
         p.add_argument("--oracle", action="store_true",
@@ -221,6 +218,8 @@ def build_parser():
     p = sub.add_parser("analyze", help="full computation for one prime level")
     p.add_argument("level", type=int)
     common(p)
+    p.add_argument("--json", action="store_true",
+                   help="print the machine-readable record")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="summary rows for a range of levels")

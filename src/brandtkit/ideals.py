@@ -1,13 +1,15 @@
 """Left ideal classes of a maximal order.
 
-Ideals are lattices closed under left multiplication by the order R.  The
-class set is produced by a breadth-first walk over p-neighbors: for a prime
-p away from the level, the ideals of norm p*N(I) directly below I are the
-p+1 lattices R x + pI, x in I of reduced norm 0 mod p, in closed form
-because R/pR is the matrix ring M_2(F_p).  The walk uses only the least
-prime p other than N: the p-neighbour graph is connected (Kirschmer and
-Voight 2010), as B(p)'s eigenvalue p + 1 belongs to the Eisenstein vector
-alone.  It terminates exactly when the mass sum(1/w_i) reaches (N-1)/12.
+Ideals are lattices closed under left multiplication by the order R, and
+a left ideal is its QuatLattice: R is the same for every class, so
+p_neighbors, the one function that multiplies by R, takes it as an
+argument.  The class set is produced by a breadth-first walk over
+p-neighbors: for a prime p away from the level, the ideals of norm
+p*N(I) directly below I are the p+1 lattices R x + pI, x in I of reduced
+norm 0 mod p, in closed form because R/pR is the matrix ring M_2(F_p).
+The walk uses only the least prime p other than N: the p-neighbour graph
+is connected (Kirschmer and Voight 2010), as B(p)'s eigenvalue p + 1
+belongs to the Eisenstein vector alone.  It terminates exactly when the mass sum(1/w_i) reaches (N-1)/12.
 
 A ClassList keys each class by an invariant, the theta prefix of its own
 normalized norm form (class_key), and find() runs the exact is_equivalent
@@ -46,35 +48,11 @@ from .orders import QuatOrder
 from .quatalg import ConsistencyError, mul4, norm4
 
 
-class LeftIdeal:
-    """A left ideal of a fixed maximal order R, kept as a lattice."""
-
-    __slots__ = ("order", "lattice", "_inverse")
-
-    def __init__(self, order, lattice):
-        self.order = order
-        self.lattice = lattice
-        self._inverse = None
-
-    def norm(self):
-        return self.lattice.content()
-
-    def inverse(self):
-        """The lattice I^-1, built once per ideal."""
-        if self._inverse is None:
-            self._inverse = ideal_inverse(self.lattice)
-        return self._inverse
-
-    def __repr__(self):
-        return f"LeftIdeal(norm={self.norm()}, {self.lattice!r})"
-
-
 def right_order(ideal):
     """The right order conj(I) I / nrd(I) of a left ideal; maximal here."""
-    lat = ideal.lattice
-    order = QuatOrder(product_lattice(lat.conjugated(), lat)
-                      .scaled(1 / lat.content()))
-    if order.reduced_discriminant() != lat.alg.level:
+    order = QuatOrder(product_lattice(ideal.conjugated(), ideal)
+                      .scaled(1 / ideal.content()))
+    if order.reduced_discriminant() != ideal.alg.level:
         raise ConsistencyError("right order of an ideal is not maximal")
     return order
 
@@ -131,17 +109,16 @@ def is_equivalent(I, J):
     give I = J alpha, four exact memberships each; the floats of the LLL
     pass and the enumeration only choose y and list the x.
     """
-    lat, jlat = I.lattice, J.lattice
-    a, b = lat.alg.a, lat.alg.b
-    y = lat.reduced_basis()[0]
+    a, b = I.alg.a, I.alg.b
+    y = I.reduced_basis()[0]
     ybar = (y[0], -y[1], -y[2], -y[3])
-    for x in jlat.vectors_of_value(lat.norm_value(y)):
+    for x in J.vectors_of_value(I.norm_value(y)):
         # r alpha = r conj(x) y / nrd(x), s alpha^-1 = s conj(y) x / nrd(y)
         xbar = (x[0], -x[1], -x[2], -x[3])
-        if (lat.contains_products(jlat.mat, [mul4(a, b, xbar, y)],
-                                  norm4(a, b, x) * lat.den)
-                and jlat.contains_products(lat.mat, [mul4(a, b, ybar, x)],
-                                           norm4(a, b, y) * jlat.den)):
+        if (I.contains_products(J.mat, [mul4(a, b, xbar, y)],
+                                norm4(a, b, x) * I.den)
+                and J.contains_products(I.mat, [mul4(a, b, ybar, x)],
+                                        norm4(a, b, y) * J.den)):
             return True
     return False
 
@@ -158,8 +135,9 @@ def unit_weight(order):
 
 # ---------------------------------------------------------------------------
 
-def p_neighbors(ideal, p):
-    """The p + 1 left ideals J with pI < J < I and N(J) = p N(I).
+def p_neighbors(order, I, p):
+    """The p + 1 left ideals J of the order with pI < J < I and
+    N(J) = p N(I).
 
     O/pO is M_2(F_p), and I/pI is free of rank one over it, so an element x
     of I/pI of reduced norm 0 mod p is a matrix of rank one, and O x is the
@@ -170,22 +148,21 @@ def p_neighbors(ideal, p):
     The neighbours come ordered by the reduced row echelon form mod p of
     J/pI in I's coordinates: pivot columns first, then the rows.
     """
-    lat = ideal.lattice
-    alg = lat.alg
+    alg = I.alg
     if p == alg.level:
         raise ValueError("neighbor prime must differ from the level")
-    olat = ideal.order.lattice
-    if not lat.contains_products(olat.mat, lat.mat, olat.den * lat.den):
+    olat = order.lattice
+    if not I.contains_products(olat.mat, I.mat, olat.den * I.den):
         raise ConsistencyError("lattice is not left-stable")
     pI = [[p * (r == c) for c in range(4)] for r in range(4)]
     planes = {}
     for lead in range(4):
         for tail in product(range(p), repeat=3 - lead):
-            x = mat_mul([(0,) * lead + (1,) + tail], lat.mat)[0]
-            if lat.norm_value(x) % p:
+            x = mat_mul([(0,) * lead + (1,) + tail], I.mat)[0]
+            if I.norm_value(x) % p:
                 continue
             # O x in I's coordinates; integral because O I = I
-            Ox = [[c % p for c in lat.coordinates(
+            Ox = [[c % p for c in I.coordinates(
                 [y // olat.den for y in mul4(alg.a, alg.b, r, x)])]
                 for r in olat.mat]
             # J/pI in the HNF of J's coordinates on I: its rows with
@@ -195,9 +172,8 @@ def p_neighbors(ideal, p):
             planes[pivots, tuple(tuple(H[r]) for r in pivots)] = H
     found = []
     for key in sorted(planes):
-        nb = QuatLattice.from_rows(alg, mat_mul(planes[key], lat.mat),
-                                   lat.den)
-        if nb.content() != p * lat.content():
+        nb = QuatLattice.from_rows(alg, mat_mul(planes[key], I.mat), I.den)
+        if nb.content() != p * I.content():
             raise ConsistencyError("neighbor has unexpected norm")
         found.append(nb)
     if len(found) != p + 1:
@@ -206,7 +182,7 @@ def p_neighbors(ideal, p):
     return found
 
 
-def class_key(ideal, level):
+def class_key(ideal):
     """The theta prefix theta_0 .. theta_K of the normalized norm form of
     the ideal, K = floor(N/12) + 1: a class invariant.
 
@@ -218,52 +194,55 @@ def class_key(ideal, level):
     of the 50 classes at N = 601 and 42 of the 84 at N = 1009.  With this
     K no key holds more than two classes at N = 197, 401, 601 or 1009.
     """
-    return tuple(ideal.lattice.theta_coefficients(level // 12 + 1))
+    return tuple(ideal.theta_coefficients(ideal.alg.level // 12 + 1))
 
 
 class ClassList:
-    """Representatives of the left ideal classes of a maximal order.
+    """Representatives of the left ideal classes of a maximal order O,
+    class 0 being O itself.
 
-    The classes are indexed by class_key, so find() runs the exact
+    add() derives what the Brandt matrices need of a class once: its
+    class_key, its inverse, its right order (the module M_ii) and its
+    weight.  The classes are indexed by class_key, so find() runs the exact
     is_equivalent only against known classes with the same key; keys[i]
     is the key of class i.
     """
 
-    def __init__(self, level, order, ideals, right_orders, weights):
-        self.level = level
-        self.alg = order.alg
+    def __init__(self, order):
         self.order = order
+        self.level = order.alg.level
         self.ideals = []
-        self.right_orders = []
         self.weights = []
         self.keys = []
+        self._inverses = []
         self._by_key = {}
         self._translations = {}
-        for entry in zip(ideals, right_orders, weights, strict=True):
-            self.add(*entry)
+        self.add(order.lattice)
 
     @property
     def n(self):
         return len(self.ideals)
 
-    def add(self, ideal, right_order, weight):
+    def add(self, ideal):
         """Append a new class; the caller knows that it is new."""
-        key = class_key(ideal, self.level)
-        self._by_key.setdefault(key, []).append(self.n)
+        i = self.n
+        key = class_key(ideal)
+        ro = right_order(ideal)
+        self._by_key.setdefault(key, []).append(i)
         self.keys.append(key)
         # I_0 = O, so M_i0 = O I = I; and conj(I) I / nrd(I) is I^-1 I,
         # the same canonical lattice
-        self._translations[self.n, 0] = ideal.lattice
-        self._translations[self.n, self.n] = right_order.lattice
+        self._translations[i, 0] = ideal
+        self._translations[i, i] = ro.lattice
         self.ideals.append(ideal)
-        self.right_orders.append(right_order)
-        self.weights.append(weight)
+        self._inverses.append(ideal_inverse(ideal))
+        self.weights.append(unit_weight(ro))
 
     def find(self, ideal, key=None):
         """The index of the known class that contains ideal, or None; key
         is the ideal's class_key when the caller already knows it."""
         if key is None:
-            key = class_key(ideal, self.level)
+            key = class_key(ideal)
         for i in self._by_key.get(key, ()):
             if is_equivalent(ideal, self.ideals[i]):
                 return i
@@ -277,7 +256,7 @@ class ClassList:
         key = (i, j)
         if key not in self._translations:
             self._translations[key] = product_lattice(
-                self.ideals[j].inverse(), self.ideals[i].lattice)
+                self._inverses[j], self.ideals[i])
         return self._translations[key]
 
 
@@ -294,8 +273,7 @@ def enumerate_classes(order):
     if order.reduced_discriminant() != level:
         raise ValueError("order is not maximal of its algebra's level")
     target = Fraction(level - 1, 12)
-    classes = ClassList(level, order, [LeftIdeal(order, order.lattice)],
-                        [order], [unit_weight(order)])
+    classes = ClassList(order)
     mass = Fraction(1, classes.weights[0])
     p = 3 if level == 2 else 2
     frontier = deque(classes.ideals)
@@ -303,16 +281,12 @@ def enumerate_classes(order):
         if not frontier:
             raise ConsistencyError(
                 f"the {p}-neighbour walk closed at mass {mass} < {target}")
-        current = frontier.popleft()
-        for nb in p_neighbors(current, p):
-            cand = LeftIdeal(order, nb)
-            if classes.find(cand) is not None:
+        for nb in p_neighbors(order, frontier.popleft(), p):
+            if classes.find(nb) is not None:
                 continue
-            ro = right_order(cand)
-            w = unit_weight(ro)
-            classes.add(cand, ro, w)
-            mass += Fraction(1, w)
-            frontier.append(cand)
+            classes.add(nb)
+            mass += Fraction(1, classes.weights[-1])
+            frontier.append(nb)
             if mass == target:
                 break
         if mass > target:

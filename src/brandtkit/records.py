@@ -51,12 +51,10 @@ def build_record(coll, spec, report, seed, generated_at, checks,
         "class_number": n,
         "weights": list(classes.weights),
         "mass": frac_str(classes.mass()),
-        "algebra": {"a": classes.order.lattice.alg.a,
-                    "b": classes.order.lattice.alg.b},
+        "algebra": {"a": classes.order.alg.a, "b": classes.order.alg.b},
         "seed": seed,
         "coeff_bound": coll.bound,
-        "ideal_bases": [{"den": I.lattice.den,
-                         "rows": [list(r) for r in I.lattice.mat]}
+        "ideal_bases": [{"den": I.den, "rows": [list(r) for r in I.mat]}
                         for I in classes.ideals],
         "b0": [[frac_str(x) for x in row] for row in coll.b0()],
         "brandt": brandt,
@@ -219,10 +217,13 @@ def load_record(path):
     if bound > len(record["brandt"]):
         raise ValueError(f"record has {len(record['brandt'])} Brandt "
                          f"matrices for coeff_bound {bound}")
-    want = {*range(1, bound + 1), record["level"]}
-    stored = {int(m) for m in record["brandt"]}
+    # each key must be str(m) itself: int() would read "01" or "0_3" as
+    # a stored m and leave the matrix under it unchecked.  (len, key)
+    # orders decimal keys by value, so the smallest m is named
+    want = {str(m) for m in (*range(1, bound + 1), record["level"])}
+    stored = set(record["brandt"])
     if stored != want:
-        m = min(stored ^ want)
+        m = min(stored ^ want, key=lambda k: (len(k), k))
         raise ValueError(f"record {'lacks' if m in want else 'has an extra'}"
                          f" Brandt matrix B({m})")
     return record

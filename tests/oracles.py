@@ -466,8 +466,7 @@ def is_equivalent_by_product(I, J):
     """Same left ideal class by the product test: I = J alpha exactly when
     J^-1 I = conj(J) I / nrd(J) holds an alpha of nrd(alpha) = nrd(I) /
     nrd(J), i.e. its normalized norm form represents 1."""
-    return product_lattice(ideal_inverse(J.lattice),
-                           I.lattice).count_vectors(1) > 0
+    return product_lattice(ideal_inverse(J), I).count_vectors(1) > 0
 
 
 def _two_dim_subspaces(p):
@@ -492,15 +491,14 @@ def _two_dim_subspaces(p):
     return out
 
 
-def p_neighbors_by_planes(ideal, p):
-    """The p-neighbours of a left ideal by search: every 2-dimensional
-    subspace W of I/pI, in RREF order, that is isotropic for the norm form
-    mod p and stable under left multiplication by the order gives the
-    neighbour pI + W.  Stability is read off the integer matrices of left
+def p_neighbors_by_planes(order, lat, p):
+    """The p-neighbours of a left ideal I = lat of the order by search:
+    every 2-dimensional subspace W of I/pI, in RREF order, that is
+    isotropic for the norm form mod p and stable under left multiplication
+    by the order gives the neighbour pI + W.  Stability is read off the integer matrices of left
     multiplication by the order basis on I's coordinates."""
-    lat = ideal.lattice
     alg = lat.alg
-    olat = ideal.order.lattice
+    olat = order.lattice
     mats = []
     for r in olat.mat:
         out = []

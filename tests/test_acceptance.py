@@ -19,8 +19,7 @@ from brandtkit.intmat import charpoly
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import construct_algebra, is_prime
 from brandtkit.report import verify_expansion_identities
-from brandtkit.spectral import (eisenstein_exact_check, sigma_level,
-                                sturm_bound)
+from brandtkit.spectral import eisenstein_exact_check, sigma_level
 from brandtkit.ssoracle import cross_validate
 
 import conftest

@@ -8,7 +8,8 @@ import oracles
 from brandtkit.brandt import (BrandtCollection, check_column_sums,
                               check_commutativity, check_weighted_row_sums,
                               check_weighted_symmetry, structural_checks)
-from brandtkit.ideals import ClassList, enumerate_classes, ideal_inverse
+from brandtkit.ideals import (ClassList, enumerate_classes, ideal_inverse,
+                              right_order, unit_weight)
 from brandtkit.intmat import mat_mul
 from brandtkit.lattices import product_lattice
 from brandtkit.orders import maximal_order
@@ -288,8 +289,8 @@ def test_both_halves_reference(N):
     coll = BrandtCollection(classes, M)
     n, w = classes.n, classes.weights
     top = max(M, N)
-    counts = [[product_lattice(ideal_inverse(classes.ideals[j].lattice),
-                               classes.ideals[i].lattice).counts_up_to(top)
+    counts = [[product_lattice(ideal_inverse(classes.ideals[j]),
+                               classes.ideals[i]).counts_up_to(top)
                for j in range(n)] for i in range(n)]
     assert coll.available() == sorted({*range(1, M + 1), N})
     for m in coll.available():
@@ -301,14 +302,16 @@ def test_both_halves_reference(N):
         assert coll.matrix(m) == ref, m
 
 
-@pytest.mark.parametrize("N", [11, 37, 101])
+@pytest.mark.parametrize("N", [2, 11, 37, 101])
 def test_diagonal_module_is_the_right_order(N):
-    # I^-1 I = conj(I) I / nrd(I): the stored right order is the module
+    # I^-1 I = conj(I) I / nrd(I): ClassList.add stores the right order as
+    # the module, and takes the class's weight from it
     classes = classes_for(N)
     for i, I in enumerate(classes.ideals):
-        module = classes.translation_module(i, i)
-        assert module is classes.right_orders[i].lattice
-        assert module == product_lattice(I.inverse(), I.lattice)
+        ro = right_order(I)
+        assert (classes.translation_module(i, i) == ro.lattice
+                == product_lattice(ideal_inverse(I), I))
+        assert classes.weights[i] == unit_weight(ro)
 
 
 def test_level_matrix_needs_every_class():
@@ -316,8 +319,9 @@ def test_level_matrix_needs_every_class():
     # P I_3 lies in no known class
     classes = classes_for(43)
     assert collection_for(43).matrix(43)[2] == [0, 0, 0, 1]
-    dropped = ClassList(43, classes.order, classes.ideals[:3],
-                        classes.right_orders[:3], classes.weights[:3])
+    dropped = ClassList(classes.order)
+    for I in classes.ideals[1:3]:
+        dropped.add(I)
     with pytest.raises(ConsistencyError, match="P I_3 lies in no known class"):
         BrandtCollection(dropped, 1)
 

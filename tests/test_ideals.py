@@ -9,12 +9,12 @@ import oracles
 from brandtkit import ideals as ideals_module
 from brandtkit import orders
 from brandtkit.brandt import BrandtCollection
-from brandtkit.ideals import (LeftIdeal, class_key, enumerate_classes,
+from brandtkit.ideals import (ClassList, class_key, enumerate_classes,
                               ideal_inverse, is_equivalent, p_neighbors,
                               pi_times, right_order, two_sided_ideal,
                               unit_weight)
 from brandtkit.lattices import QuatLattice, product_lattice
-from brandtkit.orders import QuatOrder, maximal_order, reduced_discriminant
+from brandtkit.orders import QuatOrder, maximal_order
 from brandtkit.quatalg import (ConsistencyError, ConstructionError,
                                construct_algebra, mul4)
 from brandtkit.spectral import sturm_bound
@@ -71,10 +71,12 @@ def test_p_neighbors_refuse_unstable_lattice(rows):
     order = maximal_order(construct_algebra(11))
     lat = QuatLattice.from_rows(order.alg, rows)
     with pytest.raises(ConsistencyError, match="lattice is not left-stable"):
-        p_neighbors(LeftIdeal(order, lat), 3)
+        p_neighbors(order, lat, 3)
 
 
 def test_each_class_inverse_is_built_once(monkeypatch):
+    # ClassList.add builds one inverse per class; neither the rest of the
+    # walk nor the Brandt counts build another
     calls = []
 
     def counted(lattice):
@@ -100,20 +102,17 @@ def ideals_with_neighbours(N):
     """The class representatives at level N and the p = 3 neighbours of the
     last one, all left ideals of the same maximal order."""
     classes = classes_for(N)
-    nbrs = p_neighbors(classes.ideals[-1], 3)
-    return classes, classes.ideals + [LeftIdeal(classes.order, lat)
-                                      for lat in nbrs]
+    return classes, classes.ideals + p_neighbors(classes.order,
+                                                 classes.ideals[-1], 3)
 
 
 def test_right_order_of_unit_ideal_is_order():
     for N in (11, 37, 101):
         order = maximal_order(construct_algebra(N))
-        R = LeftIdeal(order, order.lattice)
-        assert right_order(R).lattice == order.lattice
+        assert right_order(order.lattice).lattice == order.lattice
         _, ideals = ideals_with_neighbours(N)
         for I in ideals:
-            ro = right_order(I).lattice
-            assert product_lattice(I.lattice, ro) == I.lattice
+            assert product_lattice(I, right_order(I).lattice) == I
 
 
 def test_ideal_inverse_and_product():
@@ -123,15 +122,12 @@ def test_ideal_inverse_and_product():
         assert ideal_inverse(lat) == lat
         assert product_lattice(lat, lat) == lat
         classes, ideals = ideals_with_neighbours(N)
-        for j in range(classes.n):
-            I = classes.ideals[j].lattice
-            inv = classes.ideals[j].inverse()
+        for I in ideals:
+            inv = ideal_inverse(I)
             assert inv.content() * I.content() == \
                 product_lattice(I, inv).content()
-        for I in ideals:
-            inv = ideal_inverse(I.lattice)
-            assert product_lattice(I.lattice, inv) == classes.order.lattice
-            assert product_lattice(inv, I.lattice) == right_order(I).lattice
+            assert product_lattice(I, inv) == classes.order.lattice
+            assert product_lattice(inv, I) == right_order(I).lattice
 
 
 @pytest.mark.parametrize(
@@ -145,7 +141,7 @@ def test_two_sided_ideal(N):
     assert product_lattice(P, O) == P
     assert product_lattice(P, P) == O.scaled(N)
     for I in classes.ideals:
-        assert product_lattice(P, I.lattice).content() == N * I.norm()
+        assert product_lattice(P, I).content() == N * I.content()
 
 
 @pytest.mark.parametrize("N", oracles.primes_upto(200) + [401])
@@ -155,9 +151,9 @@ def test_pi_times_is_the_product_with_p(N):
     classes = classes_for(N)
     P = two_sided_ideal(classes.order)
     for i, I in enumerate(classes.ideals):
-        PI = LeftIdeal(classes.order, pi_times(I.lattice))
-        assert PI.lattice == product_lattice(P, I.lattice)
-        assert class_key(PI, N) == class_key(I, N) == classes.keys[i]
+        PI = pi_times(I)
+        assert PI == product_lattice(P, I)
+        assert class_key(PI) == class_key(I) == classes.keys[i]
 
 
 @pytest.mark.parametrize("N", [2, 11, 37, 101])
@@ -169,7 +165,7 @@ def test_closure_by_membership_matches_product_equality(N):
     P = two_sided_ideal(order)
     _, ideals = ideals_with_neighbours(N)
     cases = [(O, O, O), (P, O, P), (O, P, P)]
-    cases += [(O, I.lattice, I.lattice) for I in ideals]
+    cases += [(O, I, I) for I in ideals]
     cases += [(O, lat, lat) for lat in (
         QuatLattice.from_rows(order.alg, *UNCLOSED_SEED),
         QuatLattice.from_rows(order.alg, *LIPSCHITZ),
@@ -193,31 +189,31 @@ def test_two_sided_ideal_is_n_times_dual():
 def test_p_neighbors_shape():
     for N, p in ((11, 2), (11, 3), (37, 2)):
         order = maximal_order(construct_algebra(N))
-        R = LeftIdeal(order, order.lattice)
-        nbrs = p_neighbors(R, p)
+        nbrs = p_neighbors(order, order.lattice, p)
         assert len(nbrs) == p + 1
         for lat in nbrs:
-            assert lat.content() == p * R.lattice.content()
-            ro = right_order(LeftIdeal(order, lat))
+            assert lat.content() == p * order.lattice.content()
+            ro = right_order(lat)
             assert ro.reduced_discriminant() == N
 
 
 def test_p_neighbors_rejects_level():
     order = maximal_order(construct_algebra(11))
-    R = LeftIdeal(order, order.lattice)
     with pytest.raises(ValueError):
-        p_neighbors(R, 11)
+        p_neighbors(order, order.lattice, 11)
 
 
 
 @pytest.mark.parametrize("N", [11, 37, 101, 197])
 def test_p_neighbors_match_the_plane_search(N):
     # the same neighbours in the same order: the order fixes the class walk
-    for I in classes_for(N).ideals:
+    classes = classes_for(N)
+    for I in classes.ideals:
         for p in (2, 3, 5):
             if p != N:
-                assert (p_neighbors(I, p)
-                        == oracles.p_neighbors_by_planes(I, p)), (N, p)
+                assert (p_neighbors(classes.order, I, p)
+                        == oracles.p_neighbors_by_planes(classes.order, I,
+                                                         p)), (N, p)
 
 
 # SHA-256 of json.dumps of the record's "ideal_bases" list, taken from the
@@ -231,7 +227,7 @@ WALK_DIGESTS = {
 
 @pytest.mark.parametrize("N", sorted(WALK_DIGESTS))
 def test_class_representatives_are_pinned(N):
-    bases = [{"den": I.lattice.den, "rows": [list(r) for r in I.lattice.mat]}
+    bases = [{"den": I.den, "rows": [list(r) for r in I.mat]}
              for I in classes_for(N).ideals]
     digest = hashlib.sha256(json.dumps(bases).encode()).hexdigest()
     assert digest == WALK_DIGESTS[N]
@@ -260,6 +256,15 @@ def test_known_weight_multisets():
     assert sorted(classes_for(23).weights) == [1, 2, 3]
 
 
+def test_class_list_starts_at_the_order():
+    order = maximal_order(construct_algebra(37))
+    classes = ClassList(order)
+    assert classes.n == 1
+    assert classes.ideals[0] == order.lattice
+    assert classes.weights[0] == unit_weight(order)
+    assert classes.translation_module(0, 0) == order.lattice
+
+
 def test_class_representatives_are_inequivalent():
     for N in (11, 37, 43):
         classes = classes_for(N)
@@ -275,10 +280,9 @@ def test_keyed_walk_matches_unkeyed_walk(N, monkeypatch, checked_equivalence):
     # with the product test
     keyed = classes_for(N)
     keyed_level_matrix = BrandtCollection(keyed, 1).matrix(N)
-    monkeypatch.setattr(ideals_module, "class_key", lambda ideal, level: ())
+    monkeypatch.setattr(ideals_module, "class_key", lambda ideal: ())
     plain = classes_for(N)
-    assert ([I.lattice for I in plain.ideals]
-            == [I.lattice for I in keyed.ideals])
+    assert plain.ideals == keyed.ideals
     assert plain.weights == keyed.weights
     assert BrandtCollection(plain, 1).matrix(N) == keyed_level_matrix
     assert set(checked_equivalence) == {True, False}
@@ -306,10 +310,9 @@ def test_class_key_is_a_class_invariant(N):
                 coeffs = [rng.randint(-5, 5) for _ in range(4)]
                 alpha = [sum(c * row[k] for c, row in
                              zip(coeffs, order.lattice.mat)) for k in range(4)]
-            rows = [mul4(alg.a, alg.b, row, alpha) for row in I.lattice.mat]
-            J = LeftIdeal(order, QuatLattice.from_rows(
-                alg, rows, I.lattice.den * order.lattice.den))
-            assert class_key(J, N) == class_key(I, N)
+            rows = [mul4(alg.a, alg.b, row, alpha) for row in I.mat]
+            J = QuatLattice.from_rows(alg, rows, I.den * order.lattice.den)
+            assert class_key(J) == class_key(I)
             assert classes.find(J) == i
 
 
@@ -348,13 +351,13 @@ def test_right_order_must_be_maximal():
     lat = QuatLattice.from_rows(order.alg, *LIPSCHITZ)
     with pytest.raises(ConsistencyError, match="right order of an ideal is "
                        "not maximal"):
-        right_order(LeftIdeal(order, lat))
+        right_order(lat)
 
 
 def test_walk_that_finds_no_new_class_is_a_consistency_error(monkeypatch):
     # the neighbour graph is connected, so a walk that closes below the
     # mass (N-1)/12 is a bug, reported as such and not as an IndexError
     monkeypatch.setattr(ideals_module, "p_neighbors",
-                        lambda ideal, p: [ideal.lattice] * (p + 1))
+                        lambda order, ideal, p: [ideal] * (p + 1))
     with pytest.raises(ConsistencyError, match="closed at mass"):
         classes_for(37)

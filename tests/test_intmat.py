@@ -187,8 +187,9 @@ def _lattices():
         order = maximal_order(construct_algebra(N))
         yield order.lattice
         if N <= 139:
-            for ro in enumerate_classes(order).right_orders:
-                yield ro.lattice
+            classes = enumerate_classes(order)
+            for i in range(classes.n):
+                yield classes.translation_module(i, i)
 
 
 def _disc_by_det(lattice):

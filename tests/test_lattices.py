@@ -100,8 +100,8 @@ def test_contains_matches_inverse_reference():
     rng = random.Random(14)
     verdicts = []
     for N in (11, 37):
-        for I in enumerate_classes(maximal_order(construct_algebra(N))).ideals:
-            lat = I.lattice
+        order = maximal_order(construct_algebra(N))
+        for lat in enumerate_classes(order).ideals:
             for _ in range(80):
                 u = [rng.randint(-5, 5) for _ in range(4)]
                 row = [sum(u[r] * lat.mat[r][c] for r in range(4))

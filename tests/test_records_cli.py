@@ -165,6 +165,26 @@ def test_verify_bad_value_exits_2(path, value, tmp_path):
     _assert_verify_exits_2_in_child(bad)
 
 
+@pytest.mark.parametrize("moved, message", [
+    (False, r"has an extra Brandt matrix B\(01\)"),
+    (True, r"lacks Brandt matrix B\(3\)"),
+], ids=["extra-01", "3-moved-to-0_3"])
+def test_verify_refuses_a_brandt_key_other_than_str_m(moved, message,
+                                                      tmp_path):
+    # int() reads "01" as 1 and "0_3" as 3, so an all-7 B("01") and a B(3)
+    # stored under "0_3" passed load_record unchecked
+    record = json.loads(to_json(cached_analysis(37).record))
+    n = record["class_number"]
+    record["brandt"]["01"] = [[7] * n for _ in range(n)]
+    if moved:
+        record["brandt"]["0_3"] = record["brandt"].pop("3")
+    bad = tmp_path / "bad-key.json"
+    write_record(record, bad)
+    with pytest.raises(ValueError, match=message):
+        load_record(bad)
+    _assert_verify_exits_2_in_child(bad)
+
+
 def test_verify_deeply_nested_json_exits_2(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000)
@@ -383,6 +403,14 @@ def test_cli_closed_stdout_exits_1_without_a_traceback(tmp_path):
 def test_cli_sweep_empty_range(capsys):
     assert main(["sweep", "5", "3"]) == 2
     assert "empty range" in capsys.readouterr().err
+
+
+def test_cli_sweep_refuses_json(capsys):
+    # sweep prints summary rows only; --json belongs to analyze
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "2", "7", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_cli_verify_missing_file(capsys):
