@@ -186,14 +186,15 @@ KRYLOV_PRIME = 2 ** 61 - 1
 
 
 def cyclic_operator(mats, n):
-    """The first T_k = B(p_1) + 2 B(p_2) + ... + k B(p_k), k <= 3, with
-    p_1 < p_2 < p_3 the prime indices of mats, for which the fixed vector v
+    """The first T_k = B(p_1) + 2 B(p_2) + ... + k B(p_k), with
+    p_1 < p_2 < ... the prime indices of mats, for which the fixed vector v
     is cyclic, or None.  report.hecke_field_probe takes the same T."""
-    primes = [m for m in sorted(mats) if is_prime(m)][:3]
+    primes = [m for m in sorted(mats) if is_prime(m)]
     rng = random.Random(0)
     v = [rng.randrange(KRYLOV_PRIME) for _ in range(n)]
-    for k in range(1, len(primes) + 1):
-        T = combination(range(1, k + 1), [mats[p] for p in primes[:k]])
+    T = [[0] * n for _ in range(n)]
+    for k, p in enumerate(primes, 1):
+        T = combination((1, k), (T, mats[p]))
         krylov = [v]
         for _ in range(n - 1):
             u = krylov[-1]
@@ -228,9 +229,9 @@ def check_commutativity(level, weights, bound, mats):
     nonderogatory T: its centralizer is then Q[T], a commutative algebra.
     The Brandt module is free of rank 1 over the Hecke algebra
     (multiplicity one: Gross 1987, Emerton 2002), so a generic Hecke
-    operator has a cyclic vector.  With p_1 < p_2 < p_3 the first prime
+    operator has a cyclic vector.  With p_1 < p_2 < ... the prime
     indices, T_k = B(p_1) + 2 B(p_2) + ... + k B(p_k) is tried for
-    k = 1, 2, 3, and the first one for which a fixed pseudo-random v is
+    k = 1, 2, ..., and the first one for which a fixed pseudo-random v is
     cyclic (its Krylov matrix has full rank mod a prime, so its
     determinant is not 0) is used: 2 products per B(p) instead of one per
     pair.  When no T_k has v cyclic, or some B(p) does not commute with T,

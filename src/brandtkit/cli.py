@@ -124,9 +124,9 @@ def _sweep_level(N, args):
     dims = ",".join(str(d) for d in res.report.dims)
     hc = "holds" if res.report.hecke_conjecture_holds else "FAILS"
     status = "" if res.ok else "  [checks failed]"
-    return not res.ok, (f"{N:>5}  {res.report.n:>3}  {dims:<18} {hc:<11}"
-                        f"{res.report.rho:>4}  {res.report.field_verdict}"
-                        f"{status}")
+    return not res.ok, (f"{N:>5}  {res.report.n:>3}  {hc:<11}"
+                        f"{res.report.rho:>4}  "
+                        f"{res.report.field_verdict:<12}  {dims}{status}")
 
 
 def cmd_sweep(args):
@@ -140,8 +140,8 @@ def cmd_sweep(args):
     if args.start > args.stop:
         print("error: empty range", file=sys.stderr)
         return 2
-    header = (f"{'N':>5}  {'n':>3}  {'dims':<18} {'conjecture':<11}"
-              f"{'rho':>4}  verdict")
+    header = (f"{'N':>5}  {'n':>3}  {'conjecture':<11}{'rho':>4}  "
+              f"{'verdict':<12}  dims")
     print(header, flush=True)
     levels = [N for N in range(max(args.start, 2), args.stop + 1)
               if is_prime(N)]

@@ -11,10 +11,11 @@ of B(p) are (at most sigma(p) nonzeros per row), so the Brandt identity
 battery uses it.  `combination` takes
 ints, Fractions or floats as well.  Everything else stays in integers,
 and every exact decision is a rank: `exact_rank` (fraction-free Bareiss,
-the one elimination over Q) and `rank_mod` over F_p.  A polynomial is
-irreducible mod p by Berlekamp's criterion, so no polynomial gcd is
-taken.  Matrices run from 4x4 up to 171x84 (one class's theta rows at
-N = 1009).
+the one elimination over Q) and `rank_mod` over F_p.  Irreducibility of
+a characteristic polynomial mod p is decided on the matrix, by one rank
+mod p and one matrix power mod p (Berlekamp's criterion), with no
+polynomial arithmetic.  Matrices run from 4x4 up to 171x84 (one class's
+theta rows at N = 1009).
 """
 
 import sys
@@ -202,84 +203,39 @@ def charpoly(rows):
     return coeffs[::-1]
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers (coefficient lists, ascending order)
+def charpoly_irreducible_mod(A, p):
+    """Is f = det(xI - A) irreducible mod p, for a square integer matrix A
+    of size d >= 1?
 
-def poly_trim(f):
-    while len(f) > 1 and f[-1] == 0:
-        f = f[:-1]
-    return f
-
-
-def poly_derivative(f):
-    return [i * c for i, c in enumerate(f)][1:] or [0]
-
-
-def sylvester(f, g):
-    """Sylvester matrix of f and g, of formal degrees len(f) - 1 and
-    len(g) - 1: the rows x^s f for s < deg g, then x^s g for s < deg f.
-    Over a field it is singular exactly when f and g have a common factor
-    of positive degree, or when both leading coefficients vanish."""
-    m, n = len(f) - 1, len(g) - 1
-    return ([[0] * s + list(f) + [0] * (n - 1 - s) for s in range(n)]
-            + [[0] * s + list(g) + [0] * (m - 1 - s) for s in range(m)])
-
-
-# --- arithmetic mod a prime -------------------------------------------------
-
-def _polmul_mod(f, g, h, p):
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                prod[i + j] = (prod[i + j] + a * b) % p
-    return _polrem_mod(prod, h, p)
-
-
-def _polrem_mod(f, h, p):
-    f = [c % p for c in f]
-    dh = len(h) - 1
-    inv = pow(h[-1], -1, p)
-    while len(f) > dh:
-        c = (f[-1] * inv) % p
-        if c:
-            off = len(f) - 1 - dh
-            for i in range(dh + 1):
-                f[off + i] = (f[off + i] - c * h[i]) % p
-        f.pop()
-    return poly_trim(f)
-
-
-def _polpow_mod(base, e, h, p):
-    result = [1]
-    base = _polrem_mod(base, h, p)
-    while e:
-        if e & 1:
-            result = _polmul_mod(result, base, h, p)
-        base = _polmul_mod(base, base, h, p)
-        e >>= 1
-    return result
-
-
-def is_irreducible_mod(f, p):
-    """Berlekamp's criterion: is the integer polynomial f irreducible mod p?
-
-    f mod p, of degree d >= 1, is irreducible when it is squarefree (its
-    Sylvester matrix with f' has full rank mod p) and Q - I has nullity 1,
-    where row i of Q is x^(ip) mod f: for a squarefree f that nullity is
-    the number of distinct irreducible factors (Berlekamp 1967).
+    With x acting as A, the orbit of e_1 in F_p^d is F_p[x]/(m), m the
+    monic polynomial of least degree with m(A) e_1 = 0, a factor of f.
+    The vectors A^(kp) e_1 - A^k e_1, k < d, span the image of Frobenius
+    minus the identity on F_p[x]/(m), of rank deg m less the number of
+    distinct irreducible factors of m (Berlekamp 1967).  Rank d - 1
+    therefore makes m = f, with e_1 cyclic, and f a power of one
+    irreducible; f is that irreducible when it divides the squarefree
+    x^(p^d) - x, that is when A^(p^d) e_1 = A e_1.  An irreducible f
+    passes both tests.
     """
-    f = poly_trim([c % p for c in f])
-    d = len(f) - 1
-    if d < 1:
-        return False
-    S = sylvester(f, poly_derivative(f))
-    if rank_mod(S, p) < len(S):
-        return False
-    xp = _polpow_mod([0, 1], p, f, p)
-    Q, row = [], [1]
-    for i in range(d):
-        Q.append(row + [0] * (d - len(row)))
-        Q[i][i] -= 1
-        row = _polmul_mod(row, xp, f, p)
-    return rank_mod(Q, p) == d - 1
+    d = len(A)
+
+    def power(M, e):
+        out = identity(d)
+        while e:
+            if e & 1:
+                out = [[x % p for x in row] for row in mat_mul(out, M)]
+            M = [[x % p for x in row] for row in mat_mul(M, M)]
+            e >>= 1
+        return out
+
+    def orbit(M):  # e_1, M e_1, ..., M^(d-1) e_1 mod p
+        vecs = [[1] + [0] * (d - 1)]
+        for _ in range(d - 1):
+            vecs.append([sum(map(mul, row, vecs[-1])) % p for row in M])
+        return vecs
+
+    moved = [[x - y for x, y in zip(u, v)]
+             for u, v in zip(orbit(power(A, p)), orbit(A))]
+    return (rank_mod(moved, p) == d - 1
+            and [row[0] for row in power(A, p ** d)]
+            == [row[0] % p for row in A])

@@ -17,9 +17,9 @@ rho = (n - tr B(N))/2.  It is the probe's first certificate: when
 algebra, which is then a product, and no charpoly is needed.  At the
 seven levels with rho = 0 and n >= 3 the probe takes the generator that
 the Brandt battery certified, the cyclic T of brandt-commutativity, and
-the verdict is exact too: "field" by irreducibility mod p of its kernel
-charpoly (Berlekamp's criterion, a rank over F_p), "product" by a class
-difference whose T-orbit is a proper subspace (`exact_rank`).  The
+the verdict is exact too: "product" by a class difference whose T-orbit
+is a proper subspace (`exact_rank`), else "field" by irreducibility mod p
+of its kernel charpoly, decided on T's matrix (ranks over F_p).  The
 expansion identities are checked row by row: for class i, two products
 (intmat.mat_mul) evaluate both identities at every m and every column j.
 The right side of identity (2) is symmetric in i and j, so it is formed
@@ -29,7 +29,7 @@ once for (i, j) and (j, i), in row min(i, j).
 from fractions import Fraction
 
 from .brandt import cyclic_operator
-from .intmat import charpoly, exact_rank, is_irreducible_mod, mat_mul
+from .intmat import charpoly_irreducible_mod, exact_rank, mat_mul
 from .quatalg import ConsistencyError, is_prime
 from .spectral import sturm_bound
 
@@ -192,12 +192,6 @@ def atkin_lehner_rho(spec, coll, dims):
     return rho, atkin_lehner_bound(BN, dims, rho)
 
 
-def _restrict_to_kernel(B):
-    """Action of B on ker(sum of coordinates), basis e_1 - e_k, k = 2..n."""
-    n = len(B)
-    return [[B[l][k] - B[l][0] for k in range(1, n)] for l in range(1, n)]
-
-
 def hecke_field_probe(coll):
     """Decide whether the cuspidal Hecke algebra spans a single field.
 
@@ -213,10 +207,12 @@ def hecke_field_probe(coll):
     brandt-commutativity (brandt.cyclic_operator): Q[T] is the Hecke
     algebra (multiplicity one, Emerton 2002), and T is self-adjoint, so
     its charpoly f on the augmentation kernel is squarefree.
-    "field" is certified by irreducibility of f mod p (Berlekamp's
-    criterion); "product" by a class difference e_i - e_j whose T-orbit
-    has exact rank r < n - 1, its minimal polynomial being an exact
-    factor of f of degree r.  Anything else is "inconclusive".
+    "product" comes before "field" here too: a class difference e_i - e_j
+    whose T-orbit has exact rank r < n - 1 certifies it, its minimal
+    polynomial being an exact factor of f of degree r; then irreducibility
+    of f mod p (intmat.charpoly_irreducible_mod) certifies "field".  The
+    order changes no verdict: an f that factors over Q factors mod every
+    p.  Anything else is "inconclusive".
     """
     n = coll.n
     N = coll.level
@@ -228,11 +224,7 @@ def hecke_field_probe(coll):
                            f"the kernel into degrees {n - 1 - rho} and {rho}")
     T = cyclic_operator({m: coll.matrix(m) for m in coll.available()}, n)
     if T is None:
-        return "inconclusive", "no T_1..T_3 has a cyclic vector"
-    f = charpoly(_restrict_to_kernel(T))
-    for p in filter(is_prime, range(2, 282)):  # the first 60 primes
-        if is_irreducible_mod(f, p):
-            return "field", f"charpoly irreducible mod {p}"
+        return "inconclusive", "no T_k has a cyclic vector"
     for i in range(n):
         for j in range(i + 1, n):
             orbit = [[(a == i) - (a == j) for a in range(n)]]
@@ -242,6 +234,11 @@ def hecke_field_probe(coll):
             r = exact_rank(orbit)
             if r < n - 1:
                 return "product", f"charpoly has exact factor of degree {r}"
+    # T on ker(sum of coordinates), in the basis e_1 - e_k, k = 2..n
+    A = [[T[l][k] - T[l][0] for k in range(1, n)] for l in range(1, n)]
+    for p in filter(is_prime, range(2, 282)):  # the first 60 primes
+        if charpoly_irreducible_mod(A, p):
+            return "field", f"charpoly irreducible mod {p}"
     return "inconclusive", "every class difference generates the cusp space"
 
 

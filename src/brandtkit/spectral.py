@@ -120,7 +120,7 @@ class SpectralData:
     """
 
     def __init__(self, level, weights, eigenvectors, characters, tn_signs,
-                 eisenstein_index, max_residual, seed, combo):
+                 eisenstein_index, max_residual, combo):
         self.level = level
         self.weights = weights
         self.eigenvectors = eigenvectors
@@ -128,7 +128,6 @@ class SpectralData:
         self.tn_signs = tn_signs
         self.eisenstein_index = eisenstein_index
         self.max_residual = max_residual
-        self.seed = seed
         self.combo = combo
 
     @property
@@ -158,13 +157,13 @@ def eigendecompose(coll, seed=0):
     for _ in range(3):
         coeffs = [rng.randrange(1, 10) for _ in primes[:4]]
         try:
-            return _decompose_once(coll, primes[:4], coeffs, seed)
+            return _decompose_once(coll, primes[:4], coeffs)
         except ConsistencyError as err:
             last_err = err
     raise ConsistencyError(f"eigenframe failed three attempts: {last_err}")
 
 
-def _decompose_once(coll, primes, coeffs, seed):
+def _decompose_once(coll, primes, coeffs):
     n = coll.n
     N = coll.level
     weights = coll.weights
@@ -173,7 +172,7 @@ def _decompose_once(coll, primes, coeffs, seed):
     if n == 1:
         vec = [1.0 / roots[0]]
         chars = [[float(sigma_level(m, N)) for m in range(1, coll.bound + 1)]]
-        return SpectralData(N, weights, [vec], chars, [None], 0, 0.0, seed,
+        return SpectralData(N, weights, [vec], chars, [None], 0, 0.0,
                             {"primes": [], "coeffs": []})
 
     ms = coll.available()
@@ -273,5 +272,5 @@ def _decompose_once(coll, primes, coeffs, seed):
                   for k in order]
     tn_signs = [tn[k] for k in order]
     return SpectralData(N, weights, eigenvectors, characters, tn_signs,
-                        n - 1, max_residual, seed,
+                        n - 1, max_residual,
                         {"primes": list(primes), "coeffs": list(coeffs)})

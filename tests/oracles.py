@@ -186,6 +186,32 @@ def charpoly_by_interpolation(rows):
     return [int(c) for c in coeffs]
 
 
+def poly_mul(f, g):
+    """f g for coefficient lists in ascending order."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def irreducible_by_trial_division(f, p):
+    """Whether the monic integer polynomial f (ascending, degree d >= 1)
+    is irreducible mod p: no monic g of degree 1 .. d/2 over F_p divides
+    it, found by trying every g."""
+    d = len(f) - 1
+    for k in range(1, d // 2 + 1):
+        for tail in product(range(p), repeat=k):
+            r = [c % p for c in f]
+            for top in range(d, k - 1, -1):  # r mod x^k + tail
+                c = r.pop()
+                for t, a in enumerate(tail):
+                    r[top - k + t] = (r[top - k + t] - c * a) % p
+            if not any(r):
+                return False
+    return True
+
+
 def left_fold(terms):
     """((0 + t_0) + t_1) + ...: the float sum of the builtin sum of Python
     <= 3.11, which from 3.12 compensates float sums instead."""

@@ -7,13 +7,14 @@ import pytest
 import oracles
 from brandtkit.brandt import (BrandtCollection, check_column_sums,
                               check_commutativity, check_weighted_row_sums,
-                              check_weighted_symmetry, structural_checks)
+                              check_weighted_symmetry, cyclic_operator,
+                              structural_checks)
 from brandtkit.ideals import (ClassList, enumerate_classes, ideal_inverse,
                               right_order, unit_weight)
-from brandtkit.intmat import mat_mul
+from brandtkit.intmat import combination, mat_mul
 from brandtkit.lattices import product_lattice
 from brandtkit.orders import maximal_order
-from brandtkit.quatalg import ConsistencyError, construct_algebra
+from brandtkit.quatalg import ConsistencyError, construct_algebra, is_prime
 from brandtkit.spectral import sigma_level, sturm_bound
 from conftest import cached_analysis
 
@@ -197,6 +198,23 @@ def test_commutativity_falls_back_when_every_t_is_derogatory(product_calls):
                              "1 products B(m) = B(q) B(m/q) verified")
     # 2 products per pair, and B(6) = B(2) B(3)
     assert len(product_calls) == 4 * 3 + 1
+
+
+def test_commutativity_certificate_at_227_takes_t4(product_calls):
+    # no T_1..T_3 has the fixed vector cyclic at 227, T_4 (adding 4 B(7))
+    # has, so the pairwise loop never runs: 2 products per prime index
+    coll = collection_for(227, bound=sturm_bound(227) + 2)
+    mats = stored_matrices(coll)
+    primes = [m for m in mats if is_prime(m)]
+    assert cyclic_operator({p: mats[p] for p in (2, 3, 5)}, coll.n) is None
+    assert cyclic_operator(mats, coll.n) == combination(
+        (1, 2, 3, 4), [mats[p] for p in (2, 3, 5, 7)])
+    ok, detail = check_commutativity(
+        coll.level, coll.weights, coll.bound, mats)
+    assert ok, detail
+    products = int(detail.split(", ")[1].split()[0])
+    assert len(primes) == 14  # the pairwise loop makes 182 products
+    assert len(product_calls) == 2 * len(primes) + products
 
 
 def test_commutativity_names_the_failing_pair_after_the_certificate():

@@ -4,13 +4,15 @@
 import random
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 import pytest
 
 import oracles
 from brandtkit.ideals import enumerate_classes
-from brandtkit.intmat import (exact_rank, hnf, is_irreducible_mod, mat_mul,
-                              sparse_mul, transpose)
+from brandtkit.intmat import (charpoly, charpoly_irreducible_mod, exact_rank,
+                              hnf, identity, mat_mul, rank_mod, sparse_mul,
+                              transpose)
 from brandtkit.orders import maximal_order, reduced_discriminant
 from brandtkit.quatalg import ConsistencyError, construct_algebra, mul4
 
@@ -116,68 +118,111 @@ def test_hnf_matches_least_pivot_reference():
         assert hnf(A) == oracles.hnf_by_least_pivot(A), A
 
 
-def poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
+def unimodular(rng, d):
+    """A random d x d integer matrix of determinant 1 and its inverse, both
+    built from elementary row operations."""
+    U, V = identity(d), identity(d)
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if i == j:
+            continue
+        c = rng.randint(-2, 2)
+        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+        V = [[row[k] - c * row[i] if k == j else row[k] for k in range(d)]
+             for row in V]
+    return U, V
 
 
-def random_poly(rng, d):
-    """Degree d, coefficients in [-9, 9], leading coefficient nonzero and
-    often not 1."""
-    lead = rng.choice([1, 1, -1, 2, 3, -4, 6, 10])
-    return [rng.randint(-9, 9) for _ in range(d)] + [lead]
+def companion(f):
+    """The companion matrix of a monic f, ascending coefficients: e_1 is
+    cyclic and its charpoly is f."""
+    d = len(f) - 1
+    return [[int(i == j + 1) if j < d - 1 else -f[i] for j in range(d)]
+            for i in range(d)]
 
 
-def random_polys(rng, count, p):
-    """Integer polynomials in ascending order, of degree 0..10 (0..p when
-    p > 10, so that p divides some degrees): a third with a squared factor
-    (over Z, or only mod p: g^2 h plus p times a polynomial of lower
-    degree), some with a leading coefficient divisible by p, some with
-    zeros past the leading coefficient."""
-    for _ in range(count):
-        d = rng.randint(0, max(10, p))
-        if d >= 2 and rng.random() < 1 / 3:
-            g = random_poly(rng, rng.randint(1, d // 2))
-            f = poly_mul(poly_mul(g, g), random_poly(rng, d - 2 * (len(g) - 1)))
-            if rng.random() < 0.5:
-                f = [c + p * rng.randint(-3, 3) for c in f[:-1]] + f[-1:]
-        else:
-            f = random_poly(rng, d)
-        if d >= 1 and rng.random() < 0.1:
-            f[-1] = p * rng.choice([1, -2])
-        if rng.random() < 0.2:
-            f = f + [0] * rng.randint(1, 3)
-        yield f
+def random_square(rng):
+    """A d x d integer matrix, d <= 6, of one of four kinds, conjugated by
+    a unimodular matrix: dense; triangular (charpoly split over Z); two
+    equal blocks (f = g^2, no cyclic vector); the companion matrix of g^2 h
+    (a cyclic vector, a squared factor)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        d = rng.randint(1, 6)
+        A = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+    elif kind == 1:
+        d = rng.randint(1, 6)
+        A = [[rng.randint(-9, 9) if j <= i else 0 for j in range(d)]
+             for i in range(d)]
+    elif kind == 2:
+        k = rng.randint(1, 3)
+        B = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        A = [row + [0] * k for row in B] + [[0] * k + row for row in B]
+    else:
+        g = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))] + [1]
+        h = [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))] + [1]
+        A = companion(oracles.poly_mul(oracles.poly_mul(g, g), h))
+    U, V = unimodular(rng, len(A))
+    return mat_mul(mat_mul(U, A), V)
 
 
-def test_constant_and_zero_polynomials():
-    for p in (2, 3, 7):
-        assert is_irreducible_mod([5 * p + 1], p) is False
-        assert is_irreducible_mod([0], p) is False
-        assert is_irreducible_mod([p, 2 * p, 0], p) is False  # zero mod p
-        assert is_irreducible_mod([1, p], p) is False  # constant mod p
-        assert is_irreducible_mod([1, 1 + p, 0], p) is True  # degree 1
+def test_unimodular_pairs_are_inverse():
+    rng = random.Random(5)
+    for d in range(1, 7):
+        U, V = unimodular(rng, d)
+        assert mat_mul(U, V) == identity(d)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_is_irreducible_mod_matches_sympy(p):
+def test_charpoly_irreducible_mod_matches_trial_division(p):
+    rng = random.Random(41 + p)
+    outcomes = set()
+    for _ in range(120):
+        A = random_square(rng)
+        want = oracles.irreducible_by_trial_division(charpoly(A), p)
+        assert charpoly_irreducible_mod(A, p) == want, A
+        if len(A) > 1:
+            outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 281])
+def test_charpoly_irreducible_mod_matches_sympy(p):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     rng = random.Random(43 + p)
     outcomes = set()
-    for f in random_polys(rng, 300, p):
-        fp = [c % p for c in f]
-        while fp and fp[-1] == 0:
-            fp.pop()
-        d = len(fp) - 1
-        want = d >= 1 and sympy.Poly(fp[::-1], x, modulus=p).is_irreducible
-        assert is_irreducible_mod(f, p) == want, f
-        outcomes.add((want, d % p == 0))
-    assert outcomes == {(False, False), (False, True), (True, False),
-                        (True, True)}
+    for _ in range(150):
+        A = random_square(rng)
+        f = sympy.Poly(charpoly(A)[::-1], x, modulus=p)
+        _, factors = f.factor_list()
+        want = len(factors) == 1 and factors[0][1] == 1
+        assert charpoly_irreducible_mod(A, p) == want, A
+        outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+def test_charpoly_irreducible_mod_needs_the_last_power():
+    # f = (x - 1)^2 and f = (x^2 + 1)^2 mod 3: e_1 is cyclic and the
+    # Frobenius vectors have rank d - 1 (f is a power of one irreducible),
+    # so only A^(p^d) e_1 = A e_1 rejects the squared factor
+    for A, p in (([[1, 0], [1, 1]], 5), (companion([1, 0, 2, 0, 1]), 3)):
+        d = len(A)
+        krylov = [[int(k == 0) for k in range(d)]]
+        frobenius = [krylov[0]]
+        Ap = identity(d)
+        for _ in range(p):
+            Ap = mat_mul(Ap, A)
+        for _ in range(d - 1):
+            krylov.append([sum(map(mul, row, krylov[-1])) for row in A])
+            frobenius.append([sum(map(mul, row, frobenius[-1]))
+                              for row in Ap])
+        assert rank_mod(krylov, p) == d
+        assert rank_mod([[x - y for x, y in zip(u, v)]
+                         for u, v in zip(frobenius, krylov)], p) == d - 1
+        assert not oracles.irreducible_by_trial_division(charpoly(A), p)
+        assert charpoly_irreducible_mod(A, p) is False
+    assert charpoly_irreducible_mod([[0, -1], [1, 0]], 3) is True  # x^2 + 1
 
 
 def _lattices():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from brandtkit.analysis import analyze
-from brandtkit.cli import main
+from brandtkit.cli import _sweep_level, build_parser, main
 from brandtkit.quatalg import ConsistencyError, ConstructionError
 from brandtkit.records import (MigrationError, float_str, frac_str,
                                load_record, parse_frac, to_json,
@@ -293,7 +293,7 @@ def test_cli_analyze_with_oracle(tmp_path, capsys):
     assert record["oracle"]["j_count"] == 2
 
 
-SWEEP_HEADER = "    N    n  dims               conjecture  rho  verdict"
+SWEEP_HEADER = "    N    n  conjecture  rho  verdict       dims"
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -307,6 +307,25 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "level-11.json").exists()
     assert (tmp_path / "level-13.json").exists()
     assert not multiprocessing.active_children()
+
+
+def test_sweep_rows_line_up_with_the_header(tmp_path):
+    # the dims string grows with n (23 characters at 107, 35 at 131), so
+    # it is the last column, and the fixed ones keep the header's offsets:
+    # N, n and rho end where their headings end, the others start there
+    args = build_parser().parse_args(
+        ["sweep", "107", "131", "--cache-dir", str(tmp_path)])
+    heads = [m.span() for m in re.finditer(r"\S+", SWEEP_HEADER)]
+    for N, width in ((107, 23), (131, 35)):
+        failed, row = _sweep_level(N, args)
+        assert not failed
+        cells = [m.span() for m in re.finditer(r"\S+", row)]
+        assert len(cells) == len(heads) == 6
+        assert cells[-1][1] - cells[-1][0] == width
+        for k in (0, 1, 3):
+            assert cells[k][1] == heads[k][1], (N, k)
+        for k in (2, 4, 5):
+            assert cells[k][0] == heads[k][0], (N, k)
 
 
 def test_cli_sweep_rows_and_failures_in_level_order(tmp_path, capsys):

@@ -311,7 +311,7 @@ def test_probe_inconclusive_without_cyclic_operator():
     # a scalar B(2) and B(11) = I make every T_k scalar
     coll = _StubCollection([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
     assert hecke_field_probe(coll) == (
-        "inconclusive", "no T_1..T_3 has a cyclic vector")
+        "inconclusive", "no T_k has a cyclic vector")
 
 
 def test_probe_inconclusive_when_every_difference_generates():

@@ -7,8 +7,10 @@ battery this costs almost nothing) and compared field by field; the levels
 up to 139 are also swept through `brandtkit sweep`, whose worker processes
 write the records.  Left out: the timestamp, the oracle block and its
 ledger entry (the cache runs without the oracle), the probe's free-text
-detail and the ledger details.  Every stored record, the derogatory levels
-113 and 307 included, must also pass `verify`.
+detail and the ledger details.  The probe's detail is compared on its own
+at the seven levels with rho = 0; at the others the stored detail predates
+the rho certificate.  Every stored record, the derogatory levels 113 and
+307 included, must also pass `verify`.
 """
 
 import gzip
@@ -21,7 +23,7 @@ import brandtkit.report as report
 import oracles
 from brandtkit.brandt import check_commutativity
 from brandtkit.cli import main
-from brandtkit.intmat import exact_rank
+from brandtkit.intmat import charpoly_irreducible_mod, exact_rank
 from brandtkit.quatalg import is_prime
 from brandtkit.records import to_json, verify_record
 from brandtkit.report import full_span_check, theta_ranks
@@ -82,6 +84,39 @@ def test_every_stored_record_verifies(tmp_path, capsys):
         assert main(["verify", str(path)]) == 0, N
         assert capsys.readouterr().out.endswith(
             f"record for level {N} verified\n"), N
+
+
+RHO_ZERO_LEVELS = [23, 29, 31, 41, 47, 59, 71]
+
+
+@pytest.mark.parametrize("N", RHO_ZERO_LEVELS)
+def test_probe_verdict_and_detail_match_stored(N):
+    got = cached_analysis(N).report
+    theta = json.loads(STORED[N])["theta"]
+    assert (got.field_verdict, got.field_detail) == (
+        theta["field_verdict"], theta["field_detail"])
+
+
+def test_probe_tests_irreducibility_only_where_no_orbit_splits(monkeypatch):
+    # the exact orbit search runs first: it decides 71 with no
+    # irreducibility test, and at the field levels the prime loop stops at
+    # the prime that the stored detail names
+    tested = []
+
+    def counted(A, p):
+        tested.append(p)
+        return charpoly_irreducible_mod(A, p)
+
+    monkeypatch.setattr(report, "charpoly_irreducible_mod", counted)
+    for N in RHO_ZERO_LEVELS:
+        tested.clear()
+        coll = cached_analysis(N).collection
+        verdict = report.hecke_field_probe(coll)[0]
+        if verdict == "product":
+            assert N == 71 and tested == []
+        else:
+            p = int(json.loads(STORED[N])["theta"]["field_detail"].split()[-1])
+            assert tested == [q for q in range(2, p + 1) if is_prime(q)], N
 
 
 def test_commutativity_certificate_runs_at_level_307(product_calls):
