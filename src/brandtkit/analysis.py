@@ -3,7 +3,7 @@
 
 from datetime import datetime, timezone
 
-from .brandt import BrandtCollection, structural_checks
+from .brandt import BrandtCollection, cyclic_operator, structural_checks
 from .ideals import enumerate_classes
 from .orders import maximal_order
 from .quatalg import construct_algebra, is_prime
@@ -41,7 +41,9 @@ def analyze(N, coeffs=None, seed=0, oracle=False, max_oracle_level=100):
     coeffs is the number of Brandt matrices to keep (default: Sturm bound
     plus two); the level matrix B(N) is always included.  When oracle is
     set and N is within range, the supersingular point-counting
-    cross-check runs as well.
+    cross-check runs as well.  seed is written to the record and changes
+    nothing else: the eigenframe is that of the battery's cyclic T, which
+    is computed once here and shared with the report.
     """
     if not is_prime(N):
         raise ValueError(f"level {N} is not prime")
@@ -55,10 +57,10 @@ def analyze(N, coeffs=None, seed=0, oracle=False, max_oracle_level=100):
     classes = enumerate_classes(order)
     coll = BrandtCollection(classes, bound)
 
-    checks = structural_checks(coll.level, coll.weights, coll.bound,
-                               {m: coll.matrix(m) for m in coll.available()})
+    mats = {m: coll.matrix(m) for m in coll.available()}
+    checks = structural_checks(coll.level, coll.weights, coll.bound, mats)
     checks.append(("eisenstein-exact",) + eisenstein_exact_check(coll))
-    spec = eigendecompose(coll, seed=seed)
+    spec = eigendecompose(coll, cyclic_operator(mats, coll.n))
     report = build_report(coll, spec)
     checks.extend(report.checks)
 

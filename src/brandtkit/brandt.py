@@ -186,9 +186,10 @@ KRYLOV_PRIME = 2 ** 61 - 1
 
 
 def cyclic_operator(mats, n):
-    """The first T_k = B(p_1) + 2 B(p_2) + ... + k B(p_k), with
-    p_1 < p_2 < ... the prime indices of mats, for which the fixed vector v
-    is cyclic, or None.  report.hecke_field_probe takes the same T."""
+    """(T_k, [p_1, .., p_k]) for the first T_k = B(p_1) + 2 B(p_2) + ...
+    + k B(p_k), with p_1 < p_2 < ... the prime indices of mats, for which
+    the fixed vector v is cyclic, or None.  analyze diagonalizes the same
+    T (spectral.eigendecompose) and report.hecke_field_probe takes it."""
     primes = [m for m in sorted(mats) if is_prime(m)]
     rng = random.Random(0)
     v = [rng.randrange(KRYLOV_PRIME) for _ in range(n)]
@@ -201,7 +202,7 @@ def cyclic_operator(mats, n):
             krylov.append([sum(map(mul, row, u)) % KRYLOV_PRIME
                            for row in T])
         if rank_mod(krylov, KRYLOV_PRIME) == n:
-            return T
+            return T, primes[:k]
     return None
 
 
@@ -246,8 +247,9 @@ def check_commutativity(level, weights, bound, mats):
     and the pairwise fallback multiplies the B(p) in both orders.
     """
     primes = [m for m in sorted(mats) if is_prime(m)]
-    T = cyclic_operator(mats, len(weights))
-    if T is None or not _commutes_with(T, [mats[r] for r in primes]):
+    cyclic = cyclic_operator(mats, len(weights))
+    if cyclic is None or not _commutes_with(cyclic[0],
+                                            [mats[r] for r in primes]):
         for x, p in enumerate(primes):
             for r in primes[x + 1:]:
                 if sparse_mul(mats[p], mats[r]) != sparse_mul(mats[r], mats[p]):

@@ -45,7 +45,7 @@ from itertools import product
 from .intmat import hnf, mat_mul
 from .lattices import QuatLattice, product_lattice
 from .orders import QuatOrder
-from .quatalg import ConsistencyError, mul4, norm4
+from .quatalg import ConsistencyError, legendre, mul4, norm4
 
 
 def right_order(ideal):
@@ -92,11 +92,10 @@ def two_sided_ideal(order):
 def pi_times(lattice):
     """pi L for the pi of two_sided_ideal.  For a left ideal I this is
     P I = pi O I, and x -> pi x scales every reduced norm by N, so P I has
-    the normalized norm form, and the class_key, of I."""
-    alg = lattice.alg
-    pi = (1, 1, 0, 0) if alg.level == 2 else (0, 0, 1, 0)
-    return QuatLattice.from_rows(
-        alg, [mul4(alg.a, alg.b, pi, r) for r in lattice.mat], lattice.den)
+    the normalized norm form, and the class_key, of I, and pi times I's
+    reduced basis is a reduced basis of it (QuatLattice.left_multiple)."""
+    return lattice.left_multiple(
+        (1, 1, 0, 0) if lattice.alg.level == 2 else (0, 0, 1, 0))
 
 
 def is_equivalent(I, J):
@@ -202,8 +201,8 @@ class ClassList:
     class 0 being O itself.
 
     add() derives what the Brandt matrices need of a class once: its
-    class_key, its inverse, its right order (the module M_ii) and its
-    weight.  The classes are indexed by class_key, so find() runs the exact
+    class_key, its right order (the module M_ii) and its weight; its
+    inverse is built on the first translation module that needs it.  The classes are indexed by class_key, so find() runs the exact
     is_equivalent only against known classes with the same key; keys[i]
     is the key of class i.
     """
@@ -214,7 +213,7 @@ class ClassList:
         self.ideals = []
         self.weights = []
         self.keys = []
-        self._inverses = []
+        self._inverses = {}
         self._by_key = {}
         self._translations = {}
         self.add(order.lattice)
@@ -235,7 +234,6 @@ class ClassList:
         self._translations[i, 0] = ideal
         self._translations[i, i] = ro.lattice
         self.ideals.append(ideal)
-        self._inverses.append(ideal_inverse(ideal))
         self.weights.append(unit_weight(ro))
 
     def find(self, ideal, key=None):
@@ -255,9 +253,20 @@ class ClassList:
         """M_ij = I_j^-1 I_i, the lattice whose theta series feeds B(m)_ij."""
         key = (i, j)
         if key not in self._translations:
+            if j not in self._inverses:
+                self._inverses[j] = ideal_inverse(self.ideals[j])
             self._translations[key] = product_lattice(
                 self._inverses[j], self.ideals[i])
         return self._translations[key]
+
+
+def eichler_class_number(N):
+    """(N - 1)/12 + (1 - (-4|N))/4 + (1 - (-3|N))/3, the class number of a
+    maximal order of the algebra ramified at the prime N (Eichler)."""
+    k4 = 0 if N == 2 else legendre(-4, N)
+    k3 = -1 if N == 2 else legendre(-3, N)
+    return int(Fraction(N - 1, 12) + Fraction(1 - k4, 4)
+               + Fraction(1 - k3, 3))
 
 
 def enumerate_classes(order):
@@ -267,7 +276,8 @@ def enumerate_classes(order):
     the level.  Each neighbour is looked up with ClassList.find, so it gets
     the exact equivalence test only against known classes with its
     class_key; a neighbour in no known class is a new class.  The graph is
-    connected, so a walk that closes below the mass is a ConsistencyError.
+    connected, so a walk that closes below the mass is a ConsistencyError,
+    and so is one whose class count is not eichler_class_number.
     """
     level = order.alg.level
     if order.reduced_discriminant() != level:
@@ -292,7 +302,12 @@ def enumerate_classes(order):
         if mass > target:
             raise ConsistencyError("mass overshot (N-1)/12; duplicate classes?")
     # the walk ends at mass >= target and an overshoot raises, so it leaves
-    # at mass == target; the weight product is a separate fact
+    # at mass == target; a missed equivalence can still close it there, and
+    # the class number and the weight product are separate facts
+    if classes.n != eichler_class_number(level):
+        raise ConsistencyError(
+            f"{classes.n} classes, but Eichler's class number is "
+            f"{eichler_class_number(level)}; duplicate classes?")
     prod = 1
     for w in classes.weights:
         prod *= w

@@ -20,16 +20,19 @@ the Brandt battery certified, the cyclic T of brandt-commutativity, and
 the verdict is exact too: "product" by a class difference whose T-orbit
 is a proper subspace (`exact_rank`), else "field" by irreducibility mod p
 of its kernel charpoly, decided on T's matrix (ranks over F_p).  The
-expansion identities are checked row by row: for class i, two products
-(intmat.mat_mul) evaluate both identities at every m and every column j.
-The right side of identity (2) is symmetric in i and j, so it is formed
-once for (i, j) and (j, i), in row min(i, j).
+same T decides the full span when some class has dims[i] = n: every B(m)
+lies in Q[T], of dimension n, so the joint rank is n with no elimination.
+
+The expansion identities are not evaluated: verify_expansion_identities
+bounds their residuals from the frame's residuals and its orthonormality
+defect (spectral), in O(M n^2) for the whole table.
 """
 
 from fractions import Fraction
+from math import sqrt
 
-from .brandt import cyclic_operator
-from .intmat import charpoly_irreducible_mod, exact_rank, mat_mul
+from .brandt import cyclic_operator, sigma_level
+from .intmat import charpoly_irreducible_mod, exact_rank, left_sum
 from .quatalg import ConsistencyError, is_prime
 from .spectral import sturm_bound
 
@@ -83,14 +86,20 @@ def dim_theta_exact(coll, i):
     return exact_rank(_theta_rows(_theta_series(coll), i))
 
 
-def full_span_check(coll):
+def full_span_check(coll, dims=None, T=None):
     """All n^2 theta series together span the full n-dimensional space.
 
-    By weighted symmetry theta_ji = (w_i/w_j) theta_ij, so the n(n+1)/2
-    series with i <= j have the same span, and a series that occurs twice
+    Their joint rank is dim span{B(m)}.  With the battery's cyclic T every
+    B(m) lies in Q[T] (brandt-commutativity), of dimension n, and the rank
+    is at least each exact dims[i]: a class with dims[i] = n decides it
+    with no elimination.  Otherwise the rank is eliminated: by weighted
+    symmetry theta_ji = (w_i/w_j) theta_ij, so the n(n+1)/2 series with
+    i <= j have the same span, and a series that occurs twice
     (theta_sigma(i)sigma(j) = theta_ij) enters the rank once.
     """
     mats = _theta_series(coll)
+    if T is not None and dims is not None and max(dims) == coll.n:
+        return True, coll.n
     rows = dict.fromkeys(row for i in range(coll.n)
                          for row in _theta_rows(mats, i)[i:])
     rank = exact_rank(list(rows))
@@ -115,46 +124,37 @@ def sigma_set(spec, i):
 
 
 def verify_expansion_identities(coll, spec):
-    """Coefficient residuals of the two expansion identities, per (i, j).
+    """Bounds on the coefficient residuals of the two expansion identities,
+    per (i, j).
 
     Identity (2): w_i B(m)_ij = sum_k ([j],f_k)([i],f_k) alpha_k(T_m).
     Identity (1): ([i],f_k) alpha_k(T_m) = w_i sum_l (f_k)_l B(m)_il.
-    Returns the n x n table of (residual, scale): the residual is the
-    largest of both identities over m = 1..M (identity (1) does not depend
-    on j and is evaluated once per row), the scale max |w_i B(m)_ij| over
-    m, at least 1.
-    Row i is two products over all m, each sum in the order written above
-    (in (2) the pair product is formed first).  The right side of (2) is
-    symmetric in i and j: the float products p_i p_j and p_j p_i are equal
-    and the sum over k runs in the same order, so row i forms it only for
-    j >= i, and cell (j, i) reads the same column.
+    Returns the n x n table of (bound, scale): the bound is at least the
+    residual of both identities over m = 1..M, the scale max |w_i B(m)_ij|
+    over m, at least 1.
+
+    With u_k = D^{1/2} f_k the rows of U, R_m = S_m U^T - U^T A_m has the
+    columns r_k(m) that spec.residuals bounds, and S_m - U^T A_m U =
+    S_m (I - U^T U) + R_m U.  So identity (1) at (i, k, m) is
+    sqrt(w_i) |r_k(m)_i| <= sqrt(w_i) ||r_k(m)||, and identity (2) at
+    (i, j, m) is at most sqrt(w_i w_j) (sigma(m) ||I - U^T U|| +
+    ||R_m|| ||U||), with ||S_m|| = sigma(m), ||I - U^T U|| <= d =
+    spec.frame_defect, ||U|| <= sqrt(1 + d) and ||R_m|| at most the root
+    sum of squares of the ||r_k(m)||.
     """
-    n = spec.n
     w = spec.weights
-    vec = spec.eigenvectors
-    ms = range(1, coll.bound + 1)
-    mats = [coll.matrix(m) for m in ms]
-    alpha = [[spec.character(k, m) for k in range(n)] for m in ms]
-    pair = [[w[i] * vec[k][i] for i in range(n)] for k in range(n)]
-    frame = list(zip(*vec))  # column k is f_k
-    shared = {}  # (i, j), i < j -> the (2) column of row i for class j
+    mats = [coll.matrix(m) for m in range(1, coll.bound + 1)]
+    d = spec.frame_defect
+    one = max(map(max, spec.residuals))
+    two = max(sigma_level(m, coll.level) * d
+              + sqrt(left_sum(r * r for r in col) * (1 + d))
+              for m, col in enumerate(zip(*spec.residuals), 1))
     table = []
-    for i in range(n):
+    for i, wi in enumerate(w):
         rows = [B[i] for B in mats]
-        one = mat_mul(rows, frame)
-        row_resid = max(abs(pair[k][i] * a[k] - w[i] * s[k])
-                        for a, s in zip(alpha, one) for k in range(n))
-        two = mat_mul(alpha, [[p[j] * p[i] for j in range(i, n)]
-                              for p in pair])
-        cols = [shared.pop((j, i)) for j in range(i)] + list(zip(*two))
-        for j in range(i + 1, n):
-            shared[i, j] = cols[j]
-        cells = []
-        for j, col in enumerate(cols):
-            lhs = [float(w[i] * row[j]) for row in rows]
-            resid = max(abs(x - t) for x, t in zip(lhs, col))
-            cells.append((max(resid, row_resid), max(1.0, *map(abs, lhs))))
-        table.append(cells)
+        table.append([(max(sqrt(wi) * one, sqrt(wi * wj) * two),
+                       max(1.0, *(abs(wi * row[j]) for row in rows)))
+                      for j, wj in enumerate(w)])
     return table
 
 
@@ -192,7 +192,7 @@ def atkin_lehner_rho(spec, coll, dims):
     return rho, atkin_lehner_bound(BN, dims, rho)
 
 
-def hecke_field_probe(coll):
+def hecke_field_probe(coll, T=None):
     """Decide whether the cuspidal Hecke algebra spans a single field.
 
     Returns ("field", detail), ("product", detail) or ("inconclusive",
@@ -222,9 +222,12 @@ def hecke_field_probe(coll):
     if rho > 0:
         return "product", (f"rho = {rho}: idempotents (1 +- B(N))/2 split "
                            f"the kernel into degrees {n - 1 - rho} and {rho}")
-    T = cyclic_operator({m: coll.matrix(m) for m in coll.available()}, n)
     if T is None:
-        return "inconclusive", "no T_k has a cyclic vector"
+        cyclic = cyclic_operator(
+            {m: coll.matrix(m) for m in coll.available()}, n)
+        if cyclic is None:
+            return "inconclusive", "no T_k has a cyclic vector"
+        T = cyclic[0]
     for i in range(n):
         for j in range(i + 1, n):
             orbit = [[(a == i) - (a == j) for a in range(n)]]
@@ -270,9 +273,10 @@ def build_report(coll, spec):
 
     dims = theta_ranks(_theta_series(coll), n)
     sigma_sets = [sigma_set(spec, i) for i in range(n)]
-    checks.append(("theta-rank-consistency",
-                   all(len(sigma_sets[i]) == dims[i] for i in range(n)),
-                   f"dims {dims}"))
+    wrong = [f"|Sigma({i + 1})| = {len(s)} but dim {d}"
+             for i, (s, d) in enumerate(zip(sigma_sets, dims)) if len(s) != d]
+    checks.append(("theta-rank-consistency", not wrong,
+                   "; ".join(wrong) or f"dims {dims}"))
 
     eis_label = spec.eisenstein_index + 1
     eis_ok = all(eis_label in s for s in sigma_sets)
@@ -286,7 +290,7 @@ def build_report(coll, spec):
     checks.append(("eigenform-expansion", ok32,
                    f"max scaled residual {worst:.2e}"))
 
-    span_ok, rank = full_span_check(coll)
+    span_ok, rank = full_span_check(coll, dims, spec.operator)
     checks.append(("theta-full-span", span_ok, f"joint rank {rank} of n={n}"))
 
     rho, bound_checks = atkin_lehner_rho(spec, coll, dims)
@@ -294,7 +298,7 @@ def build_report(coll, spec):
     checks.append(("atkin-lehner-bound", all(ok for _, ok in bound_checks),
                    f"rho={rho}, fixed classes {[i + 1 for i in fixed]}"))
 
-    verdict, detail = hecke_field_probe(coll)
+    verdict, detail = hecke_field_probe(coll, spec.operator)
     if verdict == "field":
         field_ok = all(d == n for d in dims)
         checks.append(("field-verdict-dimensions", field_ok,

@@ -2,31 +2,51 @@
 
 The class module carries the pairing ([i],[j]) = w_i delta_ij.  All B(m)
 are self-adjoint for it, so D^{1/2} B D^{-1/2} with D = diag(w) is an honest
-symmetric matrix.  A generic integer combination of the B(p)
-(intmat.combination) is diagonalized with a cyclic Jacobi sweep and the
-resulting frame U is shared by the whole family; eigenvalues of the
-individual B(m) come back as Rayleigh quotients.  One product S_m U^T per
-stored m (intmat.mat_mul) gives every S_m u_k at once, and with it the
-character and the residual of each pair (k, m); U U^T checks the frame.
+symmetric matrix.  The frame is the eigenbasis of the cyclic T_k that the
+Brandt battery certifies (brandt.cyclic_operator): T is nonderogatory and
+self-adjoint, so its eigenvalues are distinct and its frame is unique, and
+every stored B(m) lies in Q[T] (brandt-commutativity), so the frame is the
+frame of the whole family.
+
+B(N) is the permutation of the level involution sigma, with w_sigma(i) =
+w_i, and commutes with every B(m).  In the Atkin-Lehner basis, e_i for a
+class that sigma fixes and (e_i +- e_sigma(i))/sqrt(2) for a 2-cycle, T and
+every B(m) are block-diagonal: the + block is B acting on sigma-invariant
+vectors (the orbit matrix, self-adjoint for the weights |orbit| w_i), the
+- block B acting on the differences e_i - e_sigma(i).  Jacobi runs on the
+two blocks of T, and the B(N)-eigenvalue of a cusp form is its block's
+sign, exactly.
+
+The characters take one block product per prime index p: a_k(p) is a
+Rayleigh quotient and r_k(p) = S_p u_k - a_k(p) u_k its residual.  Composite
+m follow from the relations that the battery certifies for the matrices:
+a_ab = a_a a_b for coprime a, b, a_p^(k+1) = a_p a_p^k - p a_p^(k-1) and
+a_N^k = a_N^k.  The same relations carry the residual norms, as bounds:
+||r(ab)|| <= sigma(a) ||r(b)|| + |a_b| ||r(a)||, and
+||r(p^(k+1))|| <= sigma(p) ||r(p^k)|| + |a_p^k| ||r(p)|| + p ||r(p^(k-1))||,
+with ||S_m|| = sigma(m) by Perron-Frobenius.  report.verify_expansion_
+identities reads its bounds off these residuals and the frame's
+orthonormality defect.
 
 Everything numeric is double precision with explicit residual checks at
-1e-8; the Eisenstein eigenvector is additionally verified in exact rational
-arithmetic, since it is known in closed form: coordinates 1/w_i.
+1e-8; the Eisenstein eigenvector is verified in exact rational arithmetic,
+since it is known in closed form: coordinates 1/w_i.
 """
 
-import random
 from fractions import Fraction
 from math import sqrt
 from operator import mul
 
-from .brandt import check_weighted_row_sums, sigma_level, weighted_asymmetry
-from .intmat import combination, left_sum, mat_mul
+from .brandt import (check_weighted_row_sums, cyclic_operator, sigma_level,
+                     weighted_asymmetry)
+from .intmat import left_sum, mat_mul
 from .quatalg import ConsistencyError, is_prime
 
 RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-9
 JACOBI_TOL = 1e-13  # largest off-diagonal entry / largest entry at the end
 JACOBI_MAX_SWEEPS = 64
+EPS = 2.0 ** -52
 
 
 def sturm_bound(N):
@@ -116,11 +136,15 @@ class SpectralData:
     eigenvectors[k] is f_k in class coordinates (pairing-orthonormal), with
     the Eisenstein vector last.  characters[k][m-1] approximates the
     eigenvalue of B(m) on f_k; tn_signs[k] is the exact +-1 eigenvalue of
-    B(N) on a cuspidal f_k (None for the Eisenstein one).
+    B(N) on a cuspidal f_k (None for the Eisenstein one).  residuals[k][m-1]
+    bounds ||S_m u_k - a_k(m) u_k|| for u_k = D^{1/2} f_k, and frame_defect
+    bounds ||I - U U^T||, U the matrix of rows u_k.  operator is the T whose
+    frame this is, combo its prime indices and coefficients.
     """
 
     def __init__(self, level, weights, eigenvectors, characters, tn_signs,
-                 eisenstein_index, max_residual, combo):
+                 eisenstein_index, max_residual, combo, residuals,
+                 frame_defect, operator):
         self.level = level
         self.weights = weights
         self.eigenvectors = eigenvectors
@@ -129,6 +153,9 @@ class SpectralData:
         self.eisenstein_index = eisenstein_index
         self.max_residual = max_residual
         self.combo = combo
+        self.residuals = residuals
+        self.frame_defect = frame_defect
+        self.operator = operator
 
     @property
     def n(self):
@@ -140,137 +167,169 @@ class SpectralData:
         return self.characters[k][m - 1]
 
 
-def eigendecompose(coll, seed=0):
-    """Diagonalize the whole family off one generic combination of the B(p).
+def atkin_lehner_orbits(BN, weights):
+    """The orbits of sigma, each a tuple of classes led by its least one,
+    for the permutation matrix B(N) of sigma: (all orbits, the 2-cycles).
 
-    Retries with fresh pseudo-random combinations (still derived from the
-    seed) up to three times if the frame fails its residual checks, then
-    gives up loudly.
+    ConsistencyError unless B(N) is the matrix of an involution sigma with
+    w_sigma(i) = w_i (the battery's brandt-level-involution and
+    brandt-weighted-symmetry).
     """
-    n = coll.n
-    N = coll.level
-    primes = [p for p in range(2, coll.bound + 1) if is_prime(p) and p != N]
-    if not primes and n > 1:
-        raise ConsistencyError("no primes available for the generic combination")
-    rng = random.Random(seed)
-    last_err = None
-    for _ in range(3):
-        coeffs = [rng.randrange(1, 10) for _ in primes[:4]]
-        try:
-            return _decompose_once(coll, primes[:4], coeffs)
-        except ConsistencyError as err:
-            last_err = err
-    raise ConsistencyError(f"eigenframe failed three attempts: {last_err}")
+    n = len(BN)
+    sigma = [row.index(1) if 1 in row else None for row in BN]
+    if (BN != [[int(t == s) for t in range(n)] for s in sigma]
+            or any(sigma[s] != i or weights[s] != weights[i]
+                   for i, s in enumerate(sigma))):
+        raise ConsistencyError("B(N) is not a weight-preserving involution")
+    orbits = [(i,) if s == i else (i, s) for i, s in enumerate(sigma) if i <= s]
+    return orbits, [o for o in orbits if len(o) == 2]
 
 
-def _decompose_once(coll, primes, coeffs):
-    n = coll.n
-    N = coll.level
-    weights = coll.weights
-    roots = [sqrt(float(w)) for w in weights]
+def al_blocks(B, plus, minus):
+    """B in the Atkin-Lehner basis, for a B that commutes with sigma: on
+    the orbit sums (plus, row A the sum over each orbit of row A[0]) and on
+    the differences e_a - e_sigma(a) of the 2-cycles (minus)."""
+    return ([[sum(B[A[0]][y] for y in O) for O in plus] for A in plus],
+            [[B[A[0]][O[0]] - B[A[0]][O[1]] for O in minus] for A in minus])
 
-    if n == 1:
-        vec = [1.0 / roots[0]]
-        chars = [[float(sigma_level(m, N)) for m in range(1, coll.bound + 1)]]
-        return SpectralData(N, weights, [vec], chars, [None], 0, 0.0,
-                            {"primes": [], "coeffs": []})
 
-    ms = coll.available()
-    sym = {m: symmetrize(coll.matrix(m), weights) for m in ms}
-    _, eigvecs = jacobi_eigensystem(
-        combination(coeffs, [sym[p] for p in primes]))
-    frame = list(zip(*eigvecs))  # column k is u_k
+def eigendecompose(coll, operator=None):
+    """Diagonalize the whole family on the frame of the cyclic T.
 
-    # orthonormality of the returned frame
-    gram = mat_mul(eigvecs, frame)
-    if any(abs(gram[a][b] - (a == b)) > ORTHO_TOL
-           for a in range(n) for b in range(a, n)):
-        raise ConsistencyError("Jacobi frame is not orthonormal")
+    operator is cyclic_operator's (T, prime indices) for the collection's
+    stored matrices, computed here when not given.  A frame that fails its
+    checks (no cyclic T, residuals, orthonormality, a shared character, the
+    Eisenstein ray, the Ramanujan bound) raises ConsistencyError.
+    """
+    n, N, M = coll.n, coll.level, coll.bound
+    w = coll.weights
+    if operator is None:
+        operator = cyclic_operator(
+            {m: coll.matrix(m) for m in coll.available()}, n)
+    if operator is None:
+        raise ConsistencyError("no T_k has a cyclic vector")
+    T, combo_primes = operator
+    plus, minus = atkin_lehner_orbits(coll.matrix(N), w)
+    primes = [p for p in range(2, M + 1) if is_prime(p) and p != N]
+    sig = [sigma_level(m, N) for m in range(M + 1)]
+    block_mats = {p: al_blocks(coll.matrix(p), plus, minus) for p in primes}
+    _, eis_unit = eisenstein_vector(w)
+    eis_value = sum(row[0] for row in T)  # T's eigenvalue on 1/w
 
-    # back to class coordinates, sign-fixed
-    vectors = []
-    for u in eigvecs:
-        f = [u[i] / roots[i] for i in range(n)]
-        lead = max(abs(x) for x in f)
-        for x in f:
-            if abs(x) > 1e-8 * lead:
-                if x < 0:
-                    f = [-y for y in f]
-                break
-        vectors.append(f)
-
-    # characters for every stored matrix, with residual control: row k of
-    # the transposed product S_m U^T is S_m u_k
+    forms = []  # (f, B(N)-sign or None, {p: a_p}, {p: ||r(p)||})
     max_residual = 0.0
-    char_map = [{} for _ in range(n)]
-    for m in ms:
-        norm = max(left_sum(map(abs, row)) for row in sym[m]) or 1.0
-        images = zip(*mat_mul(sym[m], frame))
-        for k, (u, Su) in enumerate(zip(eigvecs, images)):
-            alpha = left_sum(map(mul, u, Su))
-            resid = max(abs(s - alpha * x) for s, x in zip(Su, u))
-            if resid > RESIDUAL_TOL * norm:
-                raise ConsistencyError(
-                    f"residual {resid:.2e} too large at m={m} (combination "
-                    "not generic enough)")
-            max_residual = max(max_residual, resid / norm)
-            char_map[k][m] = alpha
-
-    # the characters must be pairwise distinct on the stored range
-    for a in range(n):
-        for b in range(a + 1, n):
-            gap = max(abs(char_map[a][m] - char_map[b][m]) for m in ms)
-            if gap < 1e-6:
-                raise ConsistencyError("two eigenvectors share a character")
-
-    # locate the Eisenstein ray: all coordinates strictly positive
-    eis = [k for k, f in enumerate(vectors) if all(x > 0 for x in f)]
-    if len(eis) != 1:
-        raise ConsistencyError(f"{len(eis)} all-positive eigenvectors, wanted 1")
-    eis_k = eis[0]
-    for m in ms:
-        if abs(char_map[eis_k][m] - sigma_level(m, N)) > 1e-6 * max(
-                1.0, sigma_level(m, N)):
-            raise ConsistencyError("Eisenstein character mismatch")
-
-    # exact closed form beats the numeric copy
-    _, eis_unit = eisenstein_vector(weights)
-    vectors[eis_k] = eis_unit
-    for m in ms:
-        char_map[eis_k][m] = float(sigma_level(m, N))
-
-    # cuspidal T_N eigenvalues must be +-1
-    tn = {}
-    for k in range(n):
-        if k == eis_k:
-            tn[k] = None
+    defect = 0.0
+    for b, (sign, orbits, T_block) in enumerate(
+            zip((1, -1), (plus, minus), al_blocks(T, plus, minus))):
+        if not orbits:
             continue
-        val = char_map[k][N]
-        sign = 1 if val > 0 else -1
-        if abs(val - sign) > 1e-6:
-            raise ConsistencyError(f"B(N) eigenvalue {val} is not +-1")
-        tn[k] = sign
-
-    # Ramanujan bound for cuspidal characters at primes away from N
-    for k in range(n):
-        if k == eis_k:
-            continue
-        for p in range(2, coll.bound + 1):
-            if is_prime(p) and p != N:
-                if abs(char_map[k][p]) > 2 * sqrt(p) + 1e-6:
+        bw = [len(A) * w[A[0]] if sign == 1 else 2 * w[A[0]]
+              for A in orbits]
+        roots = [sqrt(float(x)) for x in bw]
+        vals, vecs = jacobi_eigensystem(symmetrize(T_block, bw))
+        lifted = []  # (f on the orbits, v = f * roots, is Eisenstein)
+        for lam, v in zip(vals, vecs):
+            g = [x / r for x, r in zip(v, roots)]
+            # the Eisenstein ray: all coordinates strictly positive; the
+            # exact closed form replaces the numeric copy
+            if sign == 1 and all(x > 0 for x in g):
+                if abs(lam - eis_value) > 1e-6 * eis_value:
+                    raise ConsistencyError("Eisenstein character mismatch")
+                g = [eis_unit[A[0]] for A in orbits]
+                lifted.append((g, [x * r for x, r in zip(g, roots)], True))
+                continue
+            lead = max(abs(x) for x in g)
+            if next(x for x in g if abs(x) > 1e-8 * lead) < 0:
+                g, v = [-x for x in g], [-x for x in v]
+            lifted.append((g, v, False))
+        # the pairing Gram matrix of the lifted vectors, orbit by orbit;
+        # vectors of the two blocks are orthogonal exactly
+        for a, (g, _, _) in enumerate(lifted):
+            for c, (h, _, _) in enumerate(lifted[a:], a):
+                dot = left_sum(map(mul, map(mul, bw, g), h)) - (a == c)
+                if abs(dot) > ORTHO_TOL:
+                    raise ConsistencyError("Jacobi frame is not orthonormal")
+                defect += dot * dot * (1 + (a != c))
+        frame = [v for _, v, _ in lifted]
+        chars = [{} for _ in lifted]
+        resid = [{} for _ in lifted]
+        for p in primes:
+            S = symmetrize(block_mats[p][b], bw)
+            images = zip(*mat_mul(S, list(zip(*frame))))
+            for k, (v, Sv) in enumerate(zip(frame, images)):
+                a = (float(sig[p]) if lifted[k][2]
+                     else left_sum(map(mul, v, Sv)))
+                r = sqrt(left_sum((s - a * x) ** 2 for s, x in zip(Sv, v)))
+                if r > RESIDUAL_TOL * sig[p]:
                     raise ConsistencyError(
-                        f"cuspidal eigenvalue at p={p} breaks the Ramanujan bound")
+                        f"residual {r:.2e} too large at m={p}")
+                max_residual = max(max_residual, r / sig[p])
+                chars[k][p], resid[k][p] = a, r
+        for (g, _, eis), a, r in zip(lifted, chars, resid):
+            f = [0.0] * n
+            for A, x in zip(orbits, g):
+                f[A[0]] = x
+                if len(A) == 2:
+                    f[A[1]] = x * sign
+            forms.append((f, None if eis else sign, a, r))
+
+    eis = sum(s is None for _, s, _, _ in forms)
+    if eis != 1:
+        raise ConsistencyError(f"{eis} all-positive eigenvectors, wanted 1")
+    # multiplicity one: no two forms share every prime character
+    for x, (_, s, a, _) in enumerate(forms):
+        for _, t, c, _ in forms[x + 1:]:
+            if s == t and all(abs(a[p] - c[p]) < 1e-6 for p in primes):
+                raise ConsistencyError("two eigenvectors share a character")
+    # Ramanujan bound for cuspidal characters at primes away from N
+    for _, s, a, _ in forms:
+        if s is not None and any(abs(a[p]) > 2 * sqrt(p) + 1e-6
+                                 for p in primes):
+            raise ConsistencyError("cuspidal eigenvalue breaks the "
+                                   "Ramanujan bound")
+
+    # rounding: of the products above, of the stored frame against the
+    # block coordinates, and of any float evaluation of the identities
+    slack = 4 * (n + 4) * EPS
+    rows = [_extend(s, a, r, sig, N, slack) for _, s, a, r in forms]
 
     # deterministic ordering: cusp forms sorted by character, Eisenstein
     # last; rounding the key keeps ties immune to eigensolver noise
-    order = [k for k in range(n) if k != eis_k]
-    order.sort(key=lambda k: tuple(round(char_map[k][m], 9) for m in ms))
-    order.append(eis_k)
+    order = sorted(range(n), key=lambda k: (
+        forms[k][1] is None, tuple(round(x, 9) for x in rows[k][0]),
+        forms[k][1] or 0))
+    return SpectralData(
+        N, w, [forms[k][0] for k in order], [rows[k][0] for k in order],
+        [forms[k][1] for k in order], n - 1, max_residual,
+        {"primes": list(combo_primes),
+         "coeffs": list(range(1, len(combo_primes) + 1))},
+        [rows[k][1] for k in order], sqrt(defect) + n * n * EPS, T)
 
-    eigenvectors = [vectors[k] for k in order]
-    characters = [[char_map[k][m] for m in range(1, coll.bound + 1)]
-                  for k in order]
-    tn_signs = [tn[k] for k in order]
-    return SpectralData(N, weights, eigenvectors, characters, tn_signs,
-                        n - 1, max_residual,
-                        {"primes": list(primes), "coeffs": list(coeffs)})
+
+def _extend(sign, a, r, sig, N, slack):
+    """Characters and residual bounds at m = 1..M from those at the prime
+    indices: a_p, ||r(p)|| given for p != N, a_N = sign (1 for the
+    Eisenstein form) with r(N) = 0.  Each bound gains slack * sigma(m) for
+    rounding."""
+    M = len(sig) - 1
+    chars = [0.0, 1.0] + [0.0] * (M - 1)
+    bound = [0.0, slack] + [0.0] * (M - 1)
+    for m in range(2, M + 1):
+        p = next(d for d in range(2, m + 1) if m % d == 0)
+        q = p
+        while m % (q * p) == 0:
+            q *= p
+        if q < m:
+            x = chars[q] * chars[m // q]
+            e = sig[q] * bound[m // q] + abs(chars[m // q]) * bound[q]
+        elif m == p:
+            x, e = (float(sign or 1), 0.0) if p == N else (a[p], r[p])
+        else:  # B(p) B(p^(k-1)), less p B(p^(k-2)) for p != N
+            x = chars[p] * chars[m // p]
+            e = sig[p] * bound[m // p] + abs(chars[m // p]) * bound[p]
+            if p != N:
+                x -= p * chars[m // (p * p)]
+                e += p * bound[m // (p * p)]
+        chars[m] = x
+        bound[m] = e + slack * sig[m]
+    return chars[1:], bound[1:]

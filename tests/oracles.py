@@ -13,7 +13,7 @@ the symbol itself is tested against conic search.
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, sqrt
 from operator import add
 
 from brandtkit.ideals import ideal_inverse
@@ -224,25 +224,21 @@ def characters_row_by_row(sym, frame):
     a time.
 
     sym maps m to S_m, frame lists the u_k.  Returns the list over k of
-    {m: u_k . S_m u_k} and the largest residual max_i |(S_m u_k)_i -
-    alpha u_ki| over all (k, m), divided by the row-sum norm of S_m (1 when
-    that is 0).
+    {m: (alpha, ||S_m u_k - alpha u_k||)}, alpha = u_k . S_m u_k, with the
+    Euclidean norm.
     """
     n = len(frame)
     chars = []
-    worst = 0.0
     for u in frame:
         row = {}
         for m, S in sym.items():
             Su = [left_fold(S[i][j] * u[j] for j in range(n))
                   for i in range(n)]
             alpha = left_fold(u[i] * Su[i] for i in range(n))
-            resid = max(abs(Su[i] - alpha * u[i]) for i in range(n))
-            norm = max(left_fold(abs(x) for x in r) for r in S) or 1.0
-            worst = max(worst, resid / norm)
-            row[m] = alpha
+            row[m] = (alpha, sqrt(left_fold((Su[i] - alpha * u[i]) ** 2
+                                            for i in range(n))))
         chars.append(row)
-    return chars, worst
+    return chars
 
 
 def legendre_euler(u, p):
@@ -755,10 +751,18 @@ def gram_schmidt(gram):
     return mu, B
 
 
-def expansion_identities_all_pairs(coll, spec):
-    """The table of report.verify_expansion_identities, with identity (2)
-    formed afresh in every row for every column j, not shared between
-    (i, j) and (j, i)."""
+def expansion_identities_direct(coll, spec):
+    """Both expansion identities evaluated at every m, per (i, j): the
+    table of (residual, scale) that report.verify_expansion_identities
+    bounds.
+
+    Identity (2): w_i B(m)_ij = sum_k ([j],f_k)([i],f_k) alpha_k(T_m).
+    Identity (1): ([i],f_k) alpha_k(T_m) = w_i sum_l (f_k)_l B(m)_il.
+    The residual is the largest of both identities over m = 1..M (identity
+    (1) does not depend on j), the scale max |w_i B(m)_ij| over m, at
+    least 1.  Row i is two products over all m, each sum in the order
+    written above (in (2) the pair product is formed first).
+    """
     n = spec.n
     w = spec.weights
     vec = spec.eigenvectors

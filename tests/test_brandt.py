@@ -207,8 +207,8 @@ def test_commutativity_certificate_at_227_takes_t4(product_calls):
     mats = stored_matrices(coll)
     primes = [m for m in mats if is_prime(m)]
     assert cyclic_operator({p: mats[p] for p in (2, 3, 5)}, coll.n) is None
-    assert cyclic_operator(mats, coll.n) == combination(
-        (1, 2, 3, 4), [mats[p] for p in (2, 3, 5, 7)])
+    assert cyclic_operator(mats, coll.n) == (combination(
+        (1, 2, 3, 4), [mats[p] for p in (2, 3, 5, 7)]), [2, 3, 5, 7])
     ok, detail = check_commutativity(
         coll.level, coll.weights, coll.bound, mats)
     assert ok, detail

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from brandtkit import ideals as ideals_module
+from brandtkit import lattices as lattices_module
 from brandtkit import orders
 from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import (ClassList, class_key, enumerate_classes,
@@ -15,7 +16,7 @@ from brandtkit.ideals import (ClassList, class_key, enumerate_classes,
                               unit_weight)
 from brandtkit.lattices import QuatLattice, product_lattice
 from brandtkit.orders import QuatOrder, maximal_order
-from brandtkit.quatalg import (ConsistencyError, ConstructionError,
+from brandtkit.quatalg import (ConsistencyError, ConstructionError, bilin4,
                                construct_algebra, mul4)
 from brandtkit.spectral import sturm_bound
 
@@ -75,8 +76,9 @@ def test_p_neighbors_refuse_unstable_lattice(rows):
 
 
 def test_each_class_inverse_is_built_once(monkeypatch):
-    # ClassList.add builds one inverse per class; neither the rest of the
-    # walk nor the Brandt counts build another
+    # the first translation module that needs a class's inverse builds it,
+    # and no other module builds it again; M_i0 = I_i needs none, and one
+    # module per orbit of <sigma, transpose> is counted
     calls = []
 
     def counted(lattice):
@@ -86,7 +88,7 @@ def test_each_class_inverse_is_built_once(monkeypatch):
     monkeypatch.setattr(ideals_module, "ideal_inverse", counted)
     classes = classes_for(101)
     BrandtCollection(classes, sturm_bound(101) + 2)
-    assert 0 < len(calls) <= classes.n
+    assert len(calls) == len(set(calls)) == 6 and classes.n == 9
 
 
 def test_unit_weight_small_levels():
@@ -154,6 +156,59 @@ def test_pi_times_is_the_product_with_p(N):
         PI = pi_times(I)
         assert PI == product_lattice(P, I)
         assert class_key(PI) == class_key(I) == classes.keys[i]
+
+
+@pytest.mark.parametrize("N", [2, 11, 37, 197])
+def test_pi_times_carries_the_reduced_basis(N, monkeypatch):
+    # pi times I's reduced rows span pi I, with I's reduced Gram matrix
+    # scaled by N over the square of the factor divided out: no new LLL
+    classes = classes_for(N)
+    lll_calls = []
+
+    def counted(G, rows):
+        lll_calls.append(1)
+        return lattices_module._lll_gram(G, rows)
+
+    monkeypatch.setattr(lattices_module, "_lll_gram", counted)
+    alg = classes.order.alg
+    for I in classes.ideals:
+        PI = pi_times(I)
+        rows = PI.reduced_basis()
+        assert QuatLattice.from_rows(alg, rows, PI.den) == PI
+        assert PI._reduced[0] == [[bilin4(alg.a, alg.b, r, t) for t in rows]
+                                  for r in rows]
+        g = I.den // PI.den
+        assert [x * g * g for row in PI._reduced[0] for x in row] == [
+            alg.level * x for row in I._reduced[0] for x in row]
+    assert lll_calls == []
+
+
+def test_walk_without_equivalence_tests_at_11_13_37(monkeypatch):
+    # with every equivalence test answering no, the walk at 11, 13 and 37
+    # closes at the mass; its first neighbours are distinct classes, so it
+    # holds no duplicate and passes Eichler's count
+    with monkeypatch.context() as patched:
+        patched.setattr(ideals_module, "is_equivalent", lambda I, J: False)
+        stubbed = {N: classes_for(N) for N in (11, 13, 37)}
+    for N, got in stubbed.items():
+        classes = classes_for(N)
+        assert got.n == classes.n == oracles.eichler_class_number(N)
+        assert sorted(map(classes.find, got.ideals)) == list(
+            range(classes.n))
+
+
+def test_walk_with_duplicate_classes_fails_eichlers_count(monkeypatch):
+    # at 23 (weights 2, 1, 3 and mass 11/6) a walk that meets only the
+    # weight-3 class and never recognizes it closes at the mass with it
+    # four times: 1/2 + 4/3 = 11/6, but 5 classes where Eichler counts 3
+    classes = classes_for(23)
+    (J,) = [I for I, w in zip(classes.ideals, classes.weights) if w == 3]
+    monkeypatch.setattr(ideals_module, "is_equivalent", lambda I, J: False)
+    monkeypatch.setattr(ideals_module, "p_neighbors",
+                        lambda order, I, p: [J] * (p + 1))
+    with pytest.raises(ConsistencyError,
+                       match="5 classes, but Eichler's class number is 3"):
+        classes_for(23)
 
 
 @pytest.mark.parametrize("N", [2, 11, 37, 101])

@@ -1,15 +1,17 @@
 import copy
 import json
-import random
 from fractions import Fraction
+from math import sqrt
+from operator import mul
 
 import pytest
 
+import brandtkit.report as report_module
 import oracles
 from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import enumerate_classes
 from brandtkit.orders import maximal_order
-from brandtkit.quatalg import ConsistencyError, construct_algebra
+from brandtkit.quatalg import ConsistencyError, construct_algebra, is_prime
 from brandtkit.records import build_record, to_json, verify_record
 from brandtkit.report import (SERIES_TOL, atkin_lehner_rho, build_report,
                               dim_theta_exact, exact_rho, full_span_check,
@@ -26,7 +28,7 @@ def pipeline(N, bound=9):
     if key not in _cache:
         classes = enumerate_classes(maximal_order(construct_algebra(N)))
         coll = BrandtCollection(classes, bound=bound)
-        _cache[key] = (coll, eigendecompose(coll, seed=0))
+        _cache[key] = (coll, eigendecompose(coll))
     return _cache[key]
 
 
@@ -81,8 +83,9 @@ def test_sigma_set_size_mismatch_fails_the_ledger_and_verify():
     bad.eigenvectors[k - 1][star] = 0.5
     assert sigma_set(bad, star) == {1, 2, 3}
     report = build_report(coll, bad)
-    ledger = {name: ok for name, ok, _ in report.checks}
-    assert ledger["theta-rank-consistency"] is False
+    ledger = {name: (ok, detail) for name, ok, detail in report.checks}
+    assert ledger["theta-rank-consistency"] == (
+        False, f"|Sigma({star + 1})| = 3 but dim 2")
     record = json.loads(to_json(build_record(coll, bad, report, 0, "now",
                                              report.checks)))
     replay = {name: ok for name, ok, _ in verify_record(record)}
@@ -100,89 +103,32 @@ def test_expansion_identities_within_tolerance():
                 assert resid <= SERIES_TOL * scale, (N, i, j, resid)
 
 
-def _expansion_cell(coll, spec, i, j):
-    """Both identities evaluated directly at one (i, j), term by term."""
-    n = spec.n
-    w = spec.weights
-    worst = 0.0
-    scale = 1.0
-    for m in range(1, coll.bound + 1):
+@pytest.mark.parametrize("N", [11, 37, 71, 101, 113, 139, 197, 401])
+def test_expansion_bounds_dominate_the_direct_evaluation(N):
+    # the table bounds both identities as evaluated term by term, cell by
+    # cell; 71 has rho = 0, so its frame is one block
+    res = cached_analysis(N)
+    coll, spec = res.collection, res.spectral
+    table = verify_expansion_identities(coll, spec)
+    direct = oracles.expansion_identities_direct(coll, spec)
+    for i in range(coll.n):
+        for j in range(coll.n):
+            assert table[i][j][1] == direct[i][j][1]
+            assert direct[i][j][0] <= table[i][j][0], (N, i, j)
+    # the characters at composite m come from the Hecke relations; each
+    # is the Rayleigh quotient of its eigenvector within its bound
+    roots = [sqrt(w) for w in spec.weights]
+    for m in range(4, coll.bound + 1):
+        if is_prime(m):
+            continue
         B = coll.matrix(m)
-        lhs = float(w[i] * B[i][j])
-        scale = max(scale, abs(lhs))
-        rhs = oracles.left_fold((w[j] * spec.eigenvectors[k][j]) *
-                                (w[i] * spec.eigenvectors[k][i]) *
-                                spec.character(k, m) for k in range(n))
-        worst = max(worst, abs(lhs - rhs))
-        for k in range(n):
-            one_lhs = w[i] * spec.eigenvectors[k][i] * spec.character(k, m)
-            one_rhs = w[i] * oracles.left_fold(spec.eigenvectors[k][l] *
-                                               B[i][l] for l in range(n))
-            worst = max(worst, abs(one_lhs - one_rhs))
-    return worst, scale
-
-
-def test_expansion_table_matches_direct_evaluation():
-    # the same floats as the per-(i, j) evaluation, to the last bit
-    for N in (11, 37, 43, 101):
-        coll, spec = pipeline(N)
-        table = verify_expansion_identities(coll, spec)
-        assert [[_expansion_cell(coll, spec, i, j) for j in range(coll.n)]
-                for i in range(coll.n)] == table, N
-
-
-@pytest.mark.parametrize("N", [37, 101, 113, 139, 197])
-def test_expansion_table_equals_the_all_pairs_table(N):
-    # the shared half of identity (2) gives the same floats, to the last bit
-    coll = cached_analysis(N).collection
-    for seed in (0, 1):
-        spec = eigendecompose(coll, seed=seed)
-        assert verify_expansion_identities(coll, spec) == \
-            oracles.expansion_identities_all_pairs(coll, spec), (N, seed)
-
-
-class _MatrixList:
-    """B(1) .. B(M) as a collection."""
-
-    def __init__(self, mats):
-        self.bound = len(mats)
-        self._mats = mats
-
-    def matrix(self, m):
-        return self._mats[m - 1]
-
-
-class _StubSpectrum:
-    """Weights, eigenvectors and characters given outright."""
-
-    def __init__(self, weights, eigenvectors, characters):
-        self.n = len(weights)
-        self.weights = weights
-        self.eigenvectors = eigenvectors
-        self._characters = characters
-
-    def character(self, k, m):
-        return self._characters[k][m - 1]
-
-
-def test_expansion_table_without_weighted_symmetry():
-    # random integer matrices and floats: no symmetry for the shared half
-    # to lean on, and still the all-pairs floats
-    rng = random.Random(5)
-    n, M = 6, 7
-    w = [rng.randrange(1, 4) for _ in range(n)]
-    mats = [[[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-            for _ in range(M)]
-    assert any(w[i] * B[i][j] != w[j] * B[j][i] for B in mats
-               for i in range(n) for j in range(n))
-    spec = _StubSpectrum(w,
-                         [[rng.uniform(-1, 1) for _ in range(n)]
-                          for _ in range(n)],
-                         [[rng.uniform(-5, 5) for _ in range(M)]
-                          for _ in range(n)])
-    coll = _MatrixList(mats)
-    assert verify_expansion_identities(coll, spec) == \
-        oracles.expansion_identities_all_pairs(coll, spec)
+        for k, f in enumerate(spec.eigenvectors):
+            u = [r * x for r, x in zip(roots, f)]
+            Su = [sum(roots[i] * B[i][j] / roots[j] * u[j]
+                      for j in range(coll.n)) for i in range(coll.n)]
+            rayleigh = (sum(map(mul, u, Su)) / sum(map(mul, u, u)))
+            assert abs(rayleigh - spec.character(k, m)) <= \
+                spec.residuals[k][m - 1], (N, k, m)
 
 
 def test_explicit_relations_level_11():
@@ -253,6 +199,26 @@ def test_full_span_levels():
         coll, _ = pipeline(N)
         ok, rank = full_span_check(coll)
         assert ok and rank == coll.n
+
+
+@pytest.mark.parametrize("N", [197, 307])
+def test_full_span_eliminates_only_without_a_full_class(N, monkeypatch):
+    # a class with dims[i] = n decides the joint rank n, since every B(m)
+    # lies in Q[T]; at 307 no class reaches n and the rank is eliminated
+    res = cached_analysis(N)
+    coll, dims, T = res.collection, res.report.dims, res.spectral.operator
+    eliminated = []
+
+    def counted(rows):
+        eliminated.append(1)
+        return oracles.bareiss_rank(rows)
+
+    monkeypatch.setattr(report_module, "exact_rank", counted)
+    got = full_span_check(coll, dims, T)
+    assert got == (True, coll.n)
+    assert (max(dims) == coll.n) == (N == 197)
+    assert len(eliminated) == (N == 307)
+    assert full_span_check(coll) == got
 
 
 def test_probe_trivial_for_two_classes():

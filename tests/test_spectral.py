@@ -13,10 +13,11 @@ from brandtkit.intmat import (charpoly, combination, exact_rank, mat_mul,
                               rank_mod)
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import ConsistencyError, construct_algebra
-from brandtkit.spectral import (RESIDUAL_TOL, eigendecompose,
-                                eisenstein_exact_check, eisenstein_vector,
-                                jacobi_eigensystem, sigma_level, sturm_bound,
-                                symmetrize)
+from brandtkit.quatalg import is_prime
+from brandtkit.spectral import (RESIDUAL_TOL, al_blocks, atkin_lehner_orbits,
+                                eigendecompose, eisenstein_exact_check,
+                                eisenstein_vector, jacobi_eigensystem,
+                                sigma_level, sturm_bound, symmetrize)
 from conftest import cached_analysis
 
 _colls = {}
@@ -139,8 +140,9 @@ def test_combination_matches_accumulation():
 
 @pytest.mark.parametrize("N", [37, 43, 101])
 def test_characters_match_row_by_row_oracle(N, monkeypatch):
-    # the characters and the largest residual are the per-(k, m) loops of
-    # the oracle, to the last bit, on the frame that Jacobi returned
+    # the prime-index characters are the per-(k, p) Rayleigh quotients of
+    # the oracle, to the last bit, on the block frames that Jacobi
+    # returned, and the residual bounds hold the oracle's residuals
     coll = cached_analysis(N).collection
     frames = []
 
@@ -150,21 +152,34 @@ def test_characters_match_row_by_row_oracle(N, monkeypatch):
         return result
 
     monkeypatch.setattr(spectral, "jacobi_eigensystem", recorded)
-    spec = spectral.eigendecompose(coll, seed=0)
-    ms = coll.available()
-    sym = {m: symmetrize(coll.matrix(m), coll.weights) for m in ms}
-    chars, worst = oracles.characters_row_by_row(sym, frames[-1])
-    assert spec.max_residual == worst
-    # the Eisenstein vector, the one of constant sign, is replaced by its
-    # closed form; the cusp forms are the other rows in some order, each
-    # with the sign of its B(N) eigenvalue
-    want = sorted(([row[m] for m in range(1, coll.bound + 1)],
-                   1 if row[coll.level] > 0 else -1)
-                  for u, row in zip(frames[-1], chars)
-                  if min(u) < 0 < max(u))
-    got = sorted((spec.characters[k], spec.tn_signs[k])
-                 for k in range(spec.n - 1))
-    assert got == want
+    spec = spectral.eigendecompose(coll)
+    plus, minus = atkin_lehner_orbits(coll.matrix(N), coll.weights)
+    assert len(frames) == 2 and [len(f) for f in frames] == [
+        len(plus), len(minus)]
+    primes = [p for p in range(2, coll.bound + 1) if is_prime(p)]
+    got = {}
+    for k in range(spec.n - 1):
+        row = tuple(spec.character(k, p) for p in primes)
+        got[row] = (spec.tn_signs[k], [spec.residuals[k][p - 1]
+                                       for p in primes])
+    want = []
+    for b, (sign, orbits, frame) in enumerate(zip((1, -1), (plus, minus),
+                                                  frames)):
+        bw = [len(A) * coll.weights[A[0]] if sign == 1
+              else 2 * coll.weights[A[0]] for A in orbits]
+        sym = {p: symmetrize(al_blocks(coll.matrix(p), plus, minus)[b], bw)
+               for p in primes}
+        # the Eisenstein vector, the one of constant sign, is replaced by
+        # its closed form; the sign fix negates a vector exactly
+        for u, row in zip(frame, oracles.characters_row_by_row(sym, frame)):
+            if sign == 1 and min(u) > 0:
+                continue
+            chars = tuple(row[p][0] for p in primes)
+            assert got[chars][0] == sign
+            assert all(r <= bound for (_, r), bound in zip(
+                (row[p] for p in primes), got[chars][1]))
+            want.append(chars)
+    assert sorted(want) == sorted(got)
 
 
 def test_jacobi_reconstructs_symmetric_matrices():
@@ -240,7 +255,7 @@ def test_eisenstein_exact_check_detects_corruption():
 def test_spectral_invariants():
     for N in (11, 37, 43, 67):
         coll = collection(N)
-        spec = eigendecompose(coll, seed=0)
+        spec = eigendecompose(coll)
         n = spec.n
         assert spec.max_residual <= RESIDUAL_TOL
         assert spec.eisenstein_index == n - 1
@@ -270,7 +285,7 @@ def test_spectral_invariants():
 
 
 def test_cusp_form_prefix_level_11():
-    spec = eigendecompose(collection(11), seed=0)
+    spec = eigendecompose(collection(11))
     got = [round(x) for x in spec.characters[0][:9]]
     assert got == [1, -2, -1, 2, 1, 2, -2, 0, -2]
     assert max(abs(a - r) for a, r in zip(spec.characters[0][:9], got)) < 1e-8
@@ -279,7 +294,7 @@ def test_cusp_form_prefix_level_11():
 
 
 def test_cusp_form_prefixes_level_37():
-    spec = eigendecompose(collection(37), seed=0)
+    spec = eigendecompose(collection(37))
     rows = [[round(x) for x in spec.characters[k][:9]] for k in range(3)]
     assert rows[0] == [1, -2, -3, 2, -2, 6, -1, 0, 6]
     assert rows[1] == [1, 0, 1, -2, 0, 0, -1, 0, -2]
@@ -290,7 +305,7 @@ def test_cusp_form_prefixes_level_37():
 
 def test_eigenvector_lines_level_11():
     coll = collection(11)
-    spec = eigendecompose(coll, seed=0)
+    spec = eigendecompose(coll)
     perm = sorted(range(2), key=lambda i: coll.weights[i])
     f1 = [spec.eigenvectors[0][i] for i in perm]
     assert abs(f1[0] - 1.0 / sqrt(5.0)) < 1e-9
@@ -302,7 +317,7 @@ def test_eigenvector_lines_level_11():
 
 def test_eigenvector_lines_level_37():
     coll = collection(37)
-    spec = eigendecompose(coll, seed=0)
+    spec = eigendecompose(coll)
     BN = coll.matrix(37)
     fixed = [i for i in range(3) if BN[i][i] == 1]
     assert len(fixed) == 1
@@ -325,21 +340,41 @@ def test_eigenvector_lines_level_37():
 
 
 def test_eigendecompose_deterministic_and_seed_stable():
+    # the frame is T's, so the seed that analyze records changes nothing
     coll = collection(37)
-    a = eigendecompose(coll, seed=42)
-    b = eigendecompose(coll, seed=42)
+    a, b = eigendecompose(coll), eigendecompose(coll)
     assert a.eigenvectors == b.eigenvectors
     assert a.characters == b.characters
-    c = eigendecompose(coll, seed=7)
-    assert c.tn_signs == a.tn_signs
-    for k in range(3):
-        for m in range(9):
-            assert abs(a.characters[k][m] - c.characters[k][m]) < 1e-7
+    assert a.residuals == b.residuals
+    for seed in (7, 42):
+        c = cached_analysis(37, seed=seed).spectral
+        assert c.eigenvectors == cached_analysis(37).spectral.eigenvectors
+        assert c.characters == cached_analysis(37).spectral.characters
+
+
+class _ScalarFamily:
+    """Three classes of weight 1 at level 11 with every B(m) scalar, so
+    that no T_k has a cyclic vector."""
+
+    level, n, weights, bound = 11, 3, [1, 1, 1], 3
+
+    def matrix(self, m):
+        c = sigma_level(m, 11)
+        return [[c * (a == b) for b in range(3)] for a in range(3)]
+
+    def available(self):
+        return [1, 2, 3, 11]
+
+
+def test_eigendecompose_raises_without_a_cyclic_operator():
+    # no seeded retries: a frame that cannot be built is a ConsistencyError
+    with pytest.raises(ConsistencyError, match="no T_k has a cyclic vector"):
+        eigendecompose(_ScalarFamily())
 
 
 def test_single_class_shortcut():
     coll = collection(2, bound=4)
-    spec = eigendecompose(coll, seed=0)
+    spec = eigendecompose(coll)
     assert spec.n == 1
     assert spec.eisenstein_index == 0
     assert spec.tn_signs == [None]

@@ -9,8 +9,12 @@ write the records.  Left out: the timestamp, the oracle block and its
 ledger entry (the cache runs without the oracle), the probe's free-text
 detail and the ledger details.  The probe's detail is compared on its own
 at the seven levels with rho = 0; at the others the stored detail predates
-the rho certificate.  Every stored record, the derogatory levels 113 and
-307 included, must also pass `verify`.
+the rho certificate.  The stored float frame came from a seeded random
+combination of the B(p), today's from the cyclic T: the eigenvectors and
+characters agree to 1e-9 max(1, |x|), and the fields that describe the
+combination (combo_primes, combo_coeffs, max_residual) are left out.
+Every stored record, the derogatory levels 113 and 307 included, must
+also pass `verify`.
 """
 
 import gzip
@@ -36,23 +40,46 @@ with gzip.open(DATA_FILE, "rt") as _fh:
     STORED = {int(k): v for k, v in json.load(_fh).items()}
 
 
+FRAME_FIELDS = ("eigenvectors", "characters")
+
+
 def _comparable(record):
     record = dict(record)
     for key in ("generated_at", "oracle"):
         record.pop(key, None)
     record["theta"] = {k: v for k, v in record["theta"].items()
                        if k != "field_detail"}
+    record["spectral"] = {
+        k: v for k, v in record["spectral"].items()
+        if k not in ("combo_primes", "combo_coeffs", "max_residual")
+        + FRAME_FIELDS}
     record["checks"] = [[name, ok] for name, ok, _ in record["checks"]
                         if name != "supersingular-oracle"]
     return record
+
+
+def _frame_mismatches(got, want):
+    """(field, k, index) of the frame floats of got that differ from
+    want's by more than 1e-9 max(1, |x|)."""
+    bad = [field for field in FRAME_FIELDS
+           if [len(row) for row in got["spectral"][field]]
+           != [len(row) for row in want["spectral"][field]]]
+    for field in FRAME_FIELDS:
+        for k, (a, b) in enumerate(zip(got["spectral"][field],
+                                       want["spectral"][field])):
+            bad += [(field, k, t) for t, (x, y) in enumerate(zip(a, b))
+                    if abs(float(x) - float(y)) > 1e-9 * max(1, abs(float(y)))]
+    return bad
 
 
 @pytest.mark.parametrize("N", sorted(STORED))
 def test_record_matches_stored(N):
     # every stored level: 197 and 307 are the two above 139, and 307 is
     # derogatory
-    got = _comparable(json.loads(to_json(cached_analysis(N).record)))
-    want = _comparable(json.loads(STORED[N]))
+    got = json.loads(to_json(cached_analysis(N).record))
+    want = json.loads(STORED[N])
+    assert _frame_mismatches(got, want) == [], N
+    got, want = _comparable(got), _comparable(want)
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], (N, key)
@@ -66,9 +93,10 @@ def test_pooled_sweep_writes_the_stored_records(tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted(
         f"level-{N}.json" for N in levels)
     for N in levels:
-        got = _comparable(json.loads((tmp_path / f"level-{N}.json")
-                                     .read_text()))
-        assert got == _comparable(json.loads(STORED[N])), N
+        got = json.loads((tmp_path / f"level-{N}.json").read_text())
+        want = json.loads(STORED[N])
+        assert _frame_mismatches(got, want) == [], N
+        assert _comparable(got) == _comparable(want), N
 
 
 def test_every_stored_record_verifies(tmp_path, capsys):
