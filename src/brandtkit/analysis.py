@@ -3,7 +3,7 @@
 
 from datetime import datetime, timezone
 
-from .brandt import BrandtCollection, cyclic_operator, structural_checks
+from .brandt import BrandtCollection, structural_checks
 from .ideals import enumerate_classes
 from .orders import maximal_order
 from .quatalg import construct_algebra, is_prime
@@ -42,8 +42,7 @@ def analyze(N, coeffs=None, seed=0, oracle=False, max_oracle_level=100):
     plus two); the level matrix B(N) is always included.  When oracle is
     set and N is within range, the supersingular point-counting
     cross-check runs as well.  seed is written to the record and changes
-    nothing else: the eigenframe is that of the battery's cyclic T, which
-    is computed once here and shared with the report.
+    nothing else: the eigenframe is that of the battery's cyclic T.
     """
     if not is_prime(N):
         raise ValueError(f"level {N} is not prime")
@@ -60,7 +59,7 @@ def analyze(N, coeffs=None, seed=0, oracle=False, max_oracle_level=100):
     mats = {m: coll.matrix(m) for m in coll.available()}
     checks = structural_checks(coll.level, coll.weights, coll.bound, mats)
     checks.append(("eisenstein-exact",) + eisenstein_exact_check(coll))
-    spec = eigendecompose(coll, cyclic_operator(mats, coll.n))
+    spec = eigendecompose(coll)
     report = build_report(coll, spec)
     checks.extend(report.checks)
 

@@ -188,8 +188,8 @@ KRYLOV_PRIME = 2 ** 61 - 1
 def cyclic_operator(mats, n):
     """(T_k, [p_1, .., p_k]) for the first T_k = B(p_1) + 2 B(p_2) + ...
     + k B(p_k), with p_1 < p_2 < ... the prime indices of mats, for which
-    the fixed vector v is cyclic, or None.  analyze diagonalizes the same
-    T (spectral.eigendecompose) and report.hecke_field_probe takes it."""
+    the fixed vector v is cyclic, or None.  spectral.eigendecompose
+    diagonalizes the same T and report.hecke_field_probe takes it."""
     primes = [m for m in sorted(mats) if is_prime(m)]
     rng = random.Random(0)
     v = [rng.randrange(KRYLOV_PRIME) for _ in range(n)]

@@ -206,7 +206,8 @@ def build_parser():
                        help="number of Brandt matrices (default: Sturm "
                             "bound + 2)")
         p.add_argument("--seed", type=int, default=0,
-                       help="PRNG seed for the generic Hecke combination")
+                       help="recorded in the record's seed field; changes "
+                            "nothing else")
         p.add_argument("--cache-dir", default=default_cache_dir(),
                        help="directory for cached records")
         p.add_argument("--oracle", action="store_true",

@@ -20,8 +20,9 @@ the Brandt battery certified, the cyclic T of brandt-commutativity, and
 the verdict is exact too: "product" by a class difference whose T-orbit
 is a proper subspace (`exact_rank`), else "field" by irreducibility mod p
 of its kernel charpoly, decided on T's matrix (ranks over F_p).  The
-same T decides the full span when some class has dims[i] = n: every B(m)
-lies in Q[T], of dimension n, so the joint rank is n with no elimination.
+same certificate bounds the full span: every B(m) lies in Q[T], of
+dimension n, so a class with dims[i] = n decides the joint rank n with no
+elimination.
 
 The expansion identities are not evaluated: verify_expansion_identities
 bounds their residuals from the frame's residuals and its orthonormality
@@ -33,7 +34,7 @@ from math import sqrt
 
 from .brandt import cyclic_operator, sigma_level
 from .intmat import charpoly_irreducible_mod, exact_rank, left_sum
-from .quatalg import ConsistencyError, is_prime
+from .quatalg import is_prime
 from .spectral import sturm_bound
 
 SIGMA_TOL = 1e-6
@@ -86,19 +87,19 @@ def dim_theta_exact(coll, i):
     return exact_rank(_theta_rows(_theta_series(coll), i))
 
 
-def full_span_check(coll, dims=None, T=None):
+def full_span_check(coll, dims=None):
     """All n^2 theta series together span the full n-dimensional space.
 
-    Their joint rank is dim span{B(m)}.  With the battery's cyclic T every
-    B(m) lies in Q[T] (brandt-commutativity), of dimension n, and the rank
-    is at least each exact dims[i]: a class with dims[i] = n decides it
+    Their joint rank is dim span{B(m)}, at least each exact dims[i] and,
+    when brandt-commutativity passes, at most n: every B(m) then lies in
+    Q[T], of dimension n.  So a class with dims[i] = n decides the rank n
     with no elimination.  Otherwise the rank is eliminated: by weighted
     symmetry theta_ji = (w_i/w_j) theta_ij, so the n(n+1)/2 series with
     i <= j have the same span, and a series that occurs twice
     (theta_sigma(i)sigma(j) = theta_ij) enters the rank once.
     """
     mats = _theta_series(coll)
-    if T is not None and dims is not None and max(dims) == coll.n:
+    if dims is not None and max(dims) == coll.n:
         return True, coll.n
     rows = dict.fromkeys(row for i in range(coll.n)
                          for row in _theta_rows(mats, i)[i:])
@@ -176,23 +177,20 @@ def atkin_lehner_bound(BN, dims, rho):
     return [(i, n - dims[i] >= rho) for i in range(n) if BN[i][i] == 1]
 
 
-def atkin_lehner_rho(spec, coll, dims):
-    """rho and the per-fixed-point dimension bound.
+def atkin_lehner_rho(coll, dims):
+    """rho = exact_rho(B(N)) and the per-fixed-point dimension bound
+    (atkin_lehner_bound).
 
-    rho counts cuspidal eigenforms with B(N)-eigenvalue -1; the exact
-    (n - tr B(N))/2 must equal the count of numeric -1 signs, otherwise
-    ConsistencyError.  The bound is atkin_lehner_bound.
+    rho counts cuspidal eigenforms with B(N)-eigenvalue -1.  It is an
+    integer because B(N) is the permutation matrix of an involution
+    (brandt-level-involution; spectral.eigendecompose refuses any other).
     """
     BN = coll.matrix(coll.level)
-    rho = sum(1 for s in spec.tn_signs if s == -1)
-    exact = exact_rho(BN)
-    if exact != rho:
-        raise ConsistencyError(f"(n - tr B(N))/2 = {exact} but {rho} "
-                               "numeric B(N)-eigenvalues are -1")
+    rho = int(exact_rho(BN))
     return rho, atkin_lehner_bound(BN, dims, rho)
 
 
-def hecke_field_probe(coll, T=None):
+def hecke_field_probe(coll):
     """Decide whether the cuspidal Hecke algebra spans a single field.
 
     Returns ("field", detail), ("product", detail) or ("inconclusive",
@@ -222,12 +220,11 @@ def hecke_field_probe(coll, T=None):
     if rho > 0:
         return "product", (f"rho = {rho}: idempotents (1 +- B(N))/2 split "
                            f"the kernel into degrees {n - 1 - rho} and {rho}")
-    if T is None:
-        cyclic = cyclic_operator(
-            {m: coll.matrix(m) for m in coll.available()}, n)
-        if cyclic is None:
-            return "inconclusive", "no T_k has a cyclic vector"
-        T = cyclic[0]
+    cyclic = cyclic_operator(
+        {m: coll.matrix(m) for m in coll.available()}, n)
+    if cyclic is None:
+        return "inconclusive", "no T_k has a cyclic vector"
+    T = cyclic[0]
     for i in range(n):
         for j in range(i + 1, n):
             orbit = [[(a == i) - (a == j) for a in range(n)]]
@@ -290,15 +287,15 @@ def build_report(coll, spec):
     checks.append(("eigenform-expansion", ok32,
                    f"max scaled residual {worst:.2e}"))
 
-    span_ok, rank = full_span_check(coll, dims, spec.operator)
+    span_ok, rank = full_span_check(coll, dims)
     checks.append(("theta-full-span", span_ok, f"joint rank {rank} of n={n}"))
 
-    rho, bound_checks = atkin_lehner_rho(spec, coll, dims)
+    rho, bound_checks = atkin_lehner_rho(coll, dims)
     fixed = [i for i, _ in bound_checks]
     checks.append(("atkin-lehner-bound", all(ok for _, ok in bound_checks),
                    f"rho={rho}, fixed classes {[i + 1 for i in fixed]}"))
 
-    verdict, detail = hecke_field_probe(coll, spec.operator)
+    verdict, detail = hecke_field_probe(coll)
     if verdict == "field":
         field_ok = all(d == n for d in dims)
         checks.append(("field-verdict-dimensions", field_ok,

@@ -138,13 +138,13 @@ class SpectralData:
     eigenvalue of B(m) on f_k; tn_signs[k] is the exact +-1 eigenvalue of
     B(N) on a cuspidal f_k (None for the Eisenstein one).  residuals[k][m-1]
     bounds ||S_m u_k - a_k(m) u_k|| for u_k = D^{1/2} f_k, and frame_defect
-    bounds ||I - U U^T||, U the matrix of rows u_k.  operator is the T whose
-    frame this is, combo its prime indices and coefficients.
+    bounds ||I - U U^T||, U the matrix of rows u_k.  combo holds the prime
+    indices and coefficients of the T whose frame this is.
     """
 
     def __init__(self, level, weights, eigenvectors, characters, tn_signs,
                  eisenstein_index, max_residual, combo, residuals,
-                 frame_defect, operator):
+                 frame_defect):
         self.level = level
         self.weights = weights
         self.eigenvectors = eigenvectors
@@ -155,7 +155,6 @@ class SpectralData:
         self.combo = combo
         self.residuals = residuals
         self.frame_defect = frame_defect
-        self.operator = operator
 
     @property
     def n(self):
@@ -193,19 +192,18 @@ def al_blocks(B, plus, minus):
             [[B[A[0]][O[0]] - B[A[0]][O[1]] for O in minus] for A in minus])
 
 
-def eigendecompose(coll, operator=None):
+def eigendecompose(coll):
     """Diagonalize the whole family on the frame of the cyclic T.
 
-    operator is cyclic_operator's (T, prime indices) for the collection's
-    stored matrices, computed here when not given.  A frame that fails its
-    checks (no cyclic T, residuals, orthonormality, a shared character, the
-    Eisenstein ray, the Ramanujan bound) raises ConsistencyError.
+    T is cyclic_operator's for the collection's stored matrices.  A frame
+    that fails its checks (no cyclic T, residuals, orthonormality, a shared
+    character, the Eisenstein ray, the Ramanujan bound) raises
+    ConsistencyError.
     """
     n, N, M = coll.n, coll.level, coll.bound
     w = coll.weights
-    if operator is None:
-        operator = cyclic_operator(
-            {m: coll.matrix(m) for m in coll.available()}, n)
+    operator = cyclic_operator(
+        {m: coll.matrix(m) for m in coll.available()}, n)
     if operator is None:
         raise ConsistencyError("no T_k has a cyclic vector")
     T, combo_primes = operator
@@ -303,7 +301,7 @@ def eigendecompose(coll, operator=None):
         [forms[k][1] for k in order], n - 1, max_residual,
         {"primes": list(combo_primes),
          "coeffs": list(range(1, len(combo_primes) + 1))},
-        [rows[k][1] for k in order], sqrt(defect) + n * n * EPS, T)
+        [rows[k][1] for k in order], sqrt(defect) + n * n * EPS)
 
 
 def _extend(sign, a, r, sig, N, slack):

@@ -11,7 +11,7 @@ import oracles
 from brandtkit.brandt import BrandtCollection
 from brandtkit.ideals import enumerate_classes
 from brandtkit.orders import maximal_order
-from brandtkit.quatalg import ConsistencyError, construct_algebra, is_prime
+from brandtkit.quatalg import construct_algebra, is_prime
 from brandtkit.records import build_record, to_json, verify_record
 from brandtkit.report import (SERIES_TOL, atkin_lehner_rho, build_report,
                               dim_theta_exact, exact_rho, full_span_check,
@@ -166,7 +166,7 @@ def test_atkin_lehner_rho_level_11():
     coll, spec = pipeline(11)
     # B(11) is forced to the identity by weighted symmetry (weights 2 != 3)
     assert coll.matrix(11) == [[1, 0], [0, 1]]
-    rho, checks = atkin_lehner_rho(spec, coll,
+    rho, checks = atkin_lehner_rho(coll,
                                    [dim_theta_exact(coll, i) for i in range(2)])
     assert rho == 0 == exact_rho(coll.matrix(11))
     assert [i for i, _ in checks] == [0, 1]
@@ -177,18 +177,19 @@ def test_atkin_lehner_rho_level_37():
     coll, spec = pipeline(37)
     star = star_class(coll)
     dims = [dim_theta_exact(coll, i) for i in range(3)]
-    rho, checks = atkin_lehner_rho(spec, coll, dims)
+    rho, checks = atkin_lehner_rho(coll, dims)
     assert rho == 1 == exact_rho(coll.matrix(37))
     assert checks == [(star, True)]
 
 
 def test_atkin_lehner_rho_cross_checks_signs():
-    coll, spec = pipeline(37)
-    dims = [dim_theta_exact(coll, i) for i in range(3)]
-    flipped = copy.copy(spec)
-    flipped.tn_signs = [1 if s == -1 else s for s in spec.tn_signs]
-    with pytest.raises(ConsistencyError):
-        atkin_lehner_rho(flipped, coll, dims)
+    # the frame's B(N)-signs are its Atkin-Lehner block signs, so they
+    # count the exact rho, also where rho = 0 with n >= 3 (71)
+    for N in (11, 37, 71, 101, 197):
+        coll, spec = pipeline(N)
+        rho, _ = atkin_lehner_rho(coll, [coll.n] * coll.n)
+        assert type(rho) is int
+        assert rho == sum(s == -1 for s in spec.tn_signs)
 
 
 def test_full_span_levels():
@@ -206,7 +207,7 @@ def test_full_span_eliminates_only_without_a_full_class(N, monkeypatch):
     # a class with dims[i] = n decides the joint rank n, since every B(m)
     # lies in Q[T]; at 307 no class reaches n and the rank is eliminated
     res = cached_analysis(N)
-    coll, dims, T = res.collection, res.report.dims, res.spectral.operator
+    coll, dims = res.collection, res.report.dims
     eliminated = []
 
     def counted(rows):
@@ -214,7 +215,7 @@ def test_full_span_eliminates_only_without_a_full_class(N, monkeypatch):
         return oracles.bareiss_rank(rows)
 
     monkeypatch.setattr(report_module, "exact_rank", counted)
-    got = full_span_check(coll, dims, T)
+    got = full_span_check(coll, dims)
     assert got == (True, coll.n)
     assert (max(dims) == coll.n) == (N == 197)
     assert len(eliminated) == (N == 307)
