@@ -13,9 +13,9 @@ from .quatalg import (ConsistencyError, ConstructionError, QuaternionAlgebra,
 from .records import (SCHEMA_VERSION, TOOL_VERSION, MigrationError,
                       build_record, load_record, to_json, verify_record,
                       write_record)
-from .report import (ThetaReport, atkin_lehner_rho, build_report,
-                     dim_theta_exact, full_span_check, hecke_field_probe,
-                     sigma_set, verify_expansion_identities)
+from .report import (ThetaReport, build_report, dim_theta_exact,
+                     full_span_check, hecke_field_probe, sigma_set,
+                     verify_expansion_identities)
 from .spectral import (SpectralData, eigendecompose, eisenstein_exact_check,
                        eisenstein_vector, sigma_level, sturm_bound,
                        symmetrize)
@@ -36,7 +36,7 @@ __all__ = [
     "construct_algebra", "is_prime", "legendre",
     "SCHEMA_VERSION", "TOOL_VERSION", "MigrationError", "build_record",
     "load_record", "to_json", "verify_record", "write_record",
-    "ThetaReport", "atkin_lehner_rho", "build_report", "dim_theta_exact",
+    "ThetaReport", "build_report", "dim_theta_exact",
     "full_span_check", "hecke_field_probe", "sigma_set",
     "verify_expansion_identities",
     "SpectralData", "eigendecompose", "eisenstein_exact_check",

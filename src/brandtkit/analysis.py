@@ -56,8 +56,8 @@ def analyze(N, coeffs=None, seed=0, oracle=False, max_oracle_level=100):
     classes = enumerate_classes(order)
     coll = BrandtCollection(classes, bound)
 
-    mats = {m: coll.matrix(m) for m in coll.available()}
-    checks = structural_checks(coll.level, coll.weights, coll.bound, mats)
+    checks = structural_checks(coll.level, coll.weights, coll.bound,
+                               coll.matrices)
     checks.append(("eisenstein-exact",) + eisenstein_exact_check(coll))
     spec = eigendecompose(coll)
     report = build_report(coll, spec)

@@ -23,10 +23,11 @@ When N > M, B(N) is the permutation matrix of sigma; when N <= M it comes
 from the counts like every other B(m), and must equal that matrix.
 
 theta_ij(q) = 1/(2 w_i) + sum_m B(m)_ij q^m: B(0) = b0() holds the constant
-terms, and a BrandtCollection stores B(1)..B(M) and B(N), nothing else.
+terms, and a BrandtCollection stores B(1)..B(M) and B(N), nothing else, in
+its map `matrices` = {m: B(m)}.
 
 structural_checks, the one battery of Brandt identities, takes {m: B(m)}:
-analyze runs it on a BrandtCollection, verify on a stored record.
+analyze runs it on a collection's `matrices`, verify on a stored record.
 """
 
 import random
@@ -50,7 +51,8 @@ def sigma_level(m, N):
 
 class BrandtCollection:
     """All Brandt matrices of one level up to a coefficient bound M,
-    plus B(N) itself (needed for the Atkin-Lehner involution)."""
+    plus B(N) itself (needed for the Atkin-Lehner involution), as the map
+    matrices = {m: B(m)} in increasing m."""
 
     def __init__(self, classes, bound):
         self.classes = classes
@@ -58,7 +60,7 @@ class BrandtCollection:
         self.n = classes.n
         self.weights = list(classes.weights)
         self.bound = bound
-        self._matrices = {}
+        self.matrices = {}
         self._compute()
 
     def _compute(self):
@@ -73,11 +75,11 @@ class BrandtCollection:
                 for a, b in ((i, j), (sigma[i], sigma[j])):
                     counts[a, b] = counts[b, a] = c
         for m in range(1, self.bound + 1):
-            self._matrices[m] = self._assemble(counts, m)
+            self.matrices[m] = self._assemble(counts, m)
         perm = [[int(k == s) for k in range(self.n)] for s in sigma]
         if self.level > self.bound:
-            self._matrices[self.level] = perm
-        elif self._matrices[self.level] != perm:
+            self.matrices[self.level] = perm
+        elif self.matrices[self.level] != perm:
             raise ConsistencyError(
                 "B(N) from the counts is not the permutation [I] -> [P I]")
 
@@ -110,16 +112,9 @@ class BrandtCollection:
             out.append(row)
         return out
 
-    def matrix(self, m):
-        """B(m) for a stored m: 1..bound and the level."""
-        return self._matrices[m]
-
     def b0(self):
         """B(0): row i is constant 1/(2 w_i)."""
         return [[Fraction(1, 2 * w)] * self.n for w in self.weights]
-
-    def available(self):
-        return sorted(self._matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +181,11 @@ KRYLOV_PRIME = 2 ** 61 - 1
 
 
 def cyclic_operator(mats, n):
-    """(T_k, [p_1, .., p_k]) for the first T_k = B(p_1) + 2 B(p_2) + ...
-    + k B(p_k), with p_1 < p_2 < ... the prime indices of mats, for which
-    the fixed vector v is cyclic, or None.  spectral.eigendecompose
-    diagonalizes the same T and report.hecke_field_probe takes it."""
+    """(T_k, {"primes": [p_1, .., p_k], "coeffs": [1, .., k]}) for the
+    first T_k = B(p_1) + 2 B(p_2) + ... + k B(p_k), with p_1 < p_2 < ...
+    the prime indices of mats, for which the fixed vector v is cyclic, or
+    None.  spectral.eigendecompose diagonalizes the same T and records
+    its combination; report.hecke_field_probe takes it."""
     primes = [m for m in sorted(mats) if is_prime(m)]
     rng = random.Random(0)
     v = [rng.randrange(KRYLOV_PRIME) for _ in range(n)]
@@ -202,8 +198,18 @@ def cyclic_operator(mats, n):
             krylov.append([sum(map(mul, row, u)) % KRYLOV_PRIME
                            for row in T])
         if rank_mod(krylov, KRYLOV_PRIME) == n:
-            return T, primes[:k]
+            return T, {"primes": primes[:k], "coeffs": list(range(1, k + 1))}
     return None
+
+
+def prime_power(m):
+    """(p, q) for m >= 2: p its smallest prime factor, q the full power of
+    p that divides m."""
+    p = next(d for d in range(2, m + 1) if m % d == 0)
+    q = p
+    while m % (q * p) == 0:
+        q *= p
+    return p, q
 
 
 def _commutes_with(T, mats):
@@ -256,10 +262,7 @@ def check_commutativity(level, weights, bound, mats):
                     return False, f"B({p}) and B({r}) do not commute"
     products = 0
     for m in sorted(mats)[1:]:  # skip B(1)
-        p = next(p for p in primes if m % p == 0)
-        q = p
-        while m % (q * p) == 0:
-            q *= p
+        q = prime_power(m)[1]
         if q == m:
             continue
         if mats[m] != sparse_mul(mats[q], mats[m // q]):

@@ -57,9 +57,9 @@ def _render_analysis(res, out):
     _print_matrix("B(0) =", [row for row in rec["b0"]], out)
     shown = min(res.collection.bound, 5)
     for m in range(1, shown + 1):
-        _print_matrix(f"B({m}) =", res.collection.matrix(m), out)
+        _print_matrix(f"B({m}) =", res.collection.matrices[m], out)
     if N > shown:
-        _print_matrix(f"B({N}) =", res.collection.matrix(N), out)
+        _print_matrix(f"B({N}) =", res.collection.matrices[N], out)
     print(file=out)
     spec = res.spectral
     print("eigenforms (a_m for m = 1..%d):" % min(res.collection.bound, 10),

@@ -202,7 +202,9 @@ class ClassList:
 
     add() derives what the Brandt matrices need of a class once: its
     class_key, its right order (the module M_ii) and its weight; its
-    inverse is built on the first translation module that needs it.  The classes are indexed by class_key, so find() runs the exact
+    inverse is built on the first translation module that needs it.
+
+    The classes are indexed by class_key, so find() runs the exact
     is_equivalent only against known classes with the same key; keys[i]
     is the key of class i.
     """

@@ -2,19 +2,21 @@
 
 Everything here works on plain lists of row lists.  There are two product
 kernels.  `mat_mul` is the dense one: each entry is one `left_sum` over a
-row and a column; it takes ints, Fractions or floats and serves the float
-layer and `charpoly`.  Every float sum of the package is a `left_sum`, so
-a record's floats do not depend on the Python version.  `sparse_mul`
-builds row i of A B as a sum of the rows B_t over the t with A_it != 0;
-it is exact for any A, and fast when the rows of A are sparse, as those
-of B(p) are (at most sigma(p) nonzeros per row), so the Brandt identity
-battery uses it.  `combination` takes
-ints, Fractions or floats as well.  Everything else stays in integers,
-and every exact decision is a rank: `exact_rank` (fraction-free Bareiss,
-the one elimination over Q) and `rank_mod` over F_p.  Irreducibility of
-a characteristic polynomial mod p is decided on the matrix, by one rank
-mod p and one matrix power mod p (Berlekamp's criterion), with no
-polynomial arithmetic.  Matrices run from 4x4 up to 171x84 (one class's
+row and a column; it takes ints, Fractions or floats.  Its callers are the
+float frame of `spectral`, `ideals.p_neighbors` and
+`charpoly_irreducible_mod`; `charpoly`, which uses it too, is kept only
+for the tests and for perfbench's tracer, which wraps it.  Every float sum
+of the package is a `left_sum`, so a record's floats do not depend on the
+Python version.  `sparse_mul` builds row i of A B as a sum of the rows B_t
+over the t with A_it != 0; it is exact for any A, and fast when the rows
+of A are sparse, as those of B(p) are (at most sigma(p) nonzeros per
+row), so the Brandt identity battery uses it.  `combination` takes ints,
+Fractions or floats as well.  Everything else stays in integers, and
+every exact decision is a rank: `exact_rank` (fraction-free Bareiss, the
+one elimination over Q) and `rank_mod` over F_p.  Irreducibility of a
+characteristic polynomial mod p is decided on the matrix, by one rank mod
+p and one matrix power mod p (Berlekamp's criterion), with no polynomial
+arithmetic.  Matrices run from 4x4 up to 171x84 (one class's
 theta rows at N = 1009).
 """
 

@@ -173,20 +173,19 @@ class QuatLattice:
     def left_multiple(self, x):
         """x L for an integer coordinate row x (over den 1) of nonzero
         reduced norm q.  Its basis is x times L's; y -> x y scales the norm
-        form by q, so x times L's reduced rows, once L has them, are a
-        reduced basis of x L, with Gram matrix q A / g^2 for L's reduced A
-        and the factor g that the constructor divides out."""
+        form by q, so x times L's reduced rows are a reduced basis of x L,
+        with Gram matrix q A / g^2 for L's reduced A and the factor g that
+        the constructor divides out."""
         a, b = self.alg.a, self.alg.b
         out = QuatLattice.from_rows(
             self.alg, [mul4(a, b, x, r) for r in self.mat], self.den)
-        if self._rows is not None:
-            g = self.den // out.den
-            scale = Fraction(norm4(a, b, x), g * g)
-            A, L, D = self._reduced
-            out._rows = [[y // g for y in mul4(a, b, x, r)]
-                         for r in self._rows]
-            out._reduced = ([[int(scale * t) for t in row] for row in A], L,
-                            [float(scale) * t for t in D])
+        g = self.den // out.den
+        scale = Fraction(norm4(a, b, x), g * g)
+        out._rows = [[y // g for y in mul4(a, b, x, r)]
+                     for r in self.reduced_basis()]
+        A, L, D = self._reduced
+        out._reduced = ([[int(scale * t) for t in row] for row in A], L,
+                        [float(scale) * t for t in D])
         return out
 
     def counts_up_to(self, bound):

@@ -41,8 +41,8 @@ def build_record(coll, spec, report, seed, generated_at, checks,
                  oracle_report=None):
     classes = coll.classes
     n = coll.n
-    brandt = {str(m): [list(row) for row in coll.matrix(m)]
-              for m in coll.available()}
+    brandt = {str(m): [list(row) for row in B]
+              for m, B in coll.matrices.items()}
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
@@ -144,10 +144,12 @@ def _check_values(record):
     n = record["class_number"]
     if not _is_int(n, 1):
         raise ValueError("class_number in the record is not a positive integer")
-    theta, brandt = record["theta"], record["brandt"]
+    theta, brandt, N = record["theta"], record["brandt"], record["level"]
+    # (N - 1)/12 = sum 1/w_i <= n for weights w_i >= 1, so N <= 12 n + 1;
+    # the bound comes first, so that is_prime never meets a huge level
     fields = [
-        ("level", _is_int(record["level"]) and is_prime(record["level"]),
-         "a prime"),
+        ("level", _is_int(N) and N <= 12 * n + 1 and is_prime(N),
+         f"a prime at most 12 n + 1 = {12 * n + 1}"),
         ("coeff_bound", _is_int(record["coeff_bound"], 1),
          "a positive integer"),
         ("weights", _is_list(record["weights"], n, lambda w: _is_int(w, 1)),

@@ -75,7 +75,7 @@ def _theta_series(coll):
     if M < sturm_bound(coll.level):
         raise ValueError(
             f"need at least {sturm_bound(coll.level)} coefficients, have {M}")
-    return [coll.matrix(m) for m in range(1, M + 1)]
+    return [coll.matrices[m] for m in range(1, M + 1)]
 
 
 def dim_theta_exact(coll, i):
@@ -87,19 +87,19 @@ def dim_theta_exact(coll, i):
     return exact_rank(_theta_rows(_theta_series(coll), i))
 
 
-def full_span_check(coll, dims=None):
+def full_span_check(coll, dims):
     """All n^2 theta series together span the full n-dimensional space.
 
-    Their joint rank is dim span{B(m)}, at least each exact dims[i] and,
-    when brandt-commutativity passes, at most n: every B(m) then lies in
-    Q[T], of dimension n.  So a class with dims[i] = n decides the rank n
-    with no elimination.  Otherwise the rank is eliminated: by weighted
-    symmetry theta_ji = (w_i/w_j) theta_ij, so the n(n+1)/2 series with
-    i <= j have the same span, and a series that occurs twice
-    (theta_sigma(i)sigma(j) = theta_ij) enters the rank once.
+    Their joint rank is dim span{B(m)}, at least each exact dims[i] (the
+    theta_ranks) and, when brandt-commutativity passes, at most n: every
+    B(m) then lies in Q[T], of dimension n.  So a class with dims[i] = n
+    decides the rank n with no elimination.  Otherwise the rank is
+    eliminated: by weighted symmetry theta_ji = (w_i/w_j) theta_ij, so the
+    n(n+1)/2 series with i <= j have the same span, and a series that
+    occurs twice (theta_sigma(i)sigma(j) = theta_ij) enters the rank once.
     """
     mats = _theta_series(coll)
-    if dims is not None and max(dims) == coll.n:
+    if max(dims) == coll.n:
         return True, coll.n
     rows = dict.fromkeys(row for i in range(coll.n)
                          for row in _theta_rows(mats, i)[i:])
@@ -144,7 +144,7 @@ def verify_expansion_identities(coll, spec):
     sum of squares of the ||r_k(m)||.
     """
     w = spec.weights
-    mats = [coll.matrix(m) for m in range(1, coll.bound + 1)]
+    mats = [coll.matrices[m] for m in range(1, coll.bound + 1)]
     d = spec.frame_defect
     one = max(map(max, spec.residuals))
     two = max(sigma_level(m, coll.level) * d
@@ -177,19 +177,6 @@ def atkin_lehner_bound(BN, dims, rho):
     return [(i, n - dims[i] >= rho) for i in range(n) if BN[i][i] == 1]
 
 
-def atkin_lehner_rho(coll, dims):
-    """rho = exact_rho(B(N)) and the per-fixed-point dimension bound
-    (atkin_lehner_bound).
-
-    rho counts cuspidal eigenforms with B(N)-eigenvalue -1.  It is an
-    integer because B(N) is the permutation matrix of an involution
-    (brandt-level-involution; spectral.eigendecompose refuses any other).
-    """
-    BN = coll.matrix(coll.level)
-    rho = int(exact_rho(BN))
-    return rho, atkin_lehner_bound(BN, dims, rho)
-
-
 def hecke_field_probe(coll):
     """Decide whether the cuspidal Hecke algebra spans a single field.
 
@@ -216,12 +203,11 @@ def hecke_field_probe(coll):
     N = coll.level
     if n <= 2:
         return "field", f"degree {n - 1} is trivially a field"
-    rho = exact_rho(coll.matrix(N))
+    rho = exact_rho(coll.matrices[N])
     if rho > 0:
         return "product", (f"rho = {rho}: idempotents (1 +- B(N))/2 split "
                            f"the kernel into degrees {n - 1 - rho} and {rho}")
-    cyclic = cyclic_operator(
-        {m: coll.matrix(m) for m in coll.available()}, n)
+    cyclic = cyclic_operator(coll.matrices, n)
     if cyclic is None:
         return "inconclusive", "no T_k has a cyclic vector"
     T = cyclic[0]
@@ -245,11 +231,9 @@ def hecke_field_probe(coll):
 class ThetaReport:
     """Per-level digest of the theta-space structure."""
 
-    def __init__(self, level, n, weights, dims, sigma_sets, rho,
-                 frobenius_fixed, field_verdict, field_detail, checks):
-        self.level = level
+    def __init__(self, n, dims, sigma_sets, rho, frobenius_fixed,
+                 field_verdict, field_detail, checks):
         self.n = n
-        self.weights = weights
         self.dims = dims
         self.sigma_sets = sigma_sets
         self.rho = rho
@@ -290,7 +274,11 @@ def build_report(coll, spec):
     span_ok, rank = full_span_check(coll, dims)
     checks.append(("theta-full-span", span_ok, f"joint rank {rank} of n={n}"))
 
-    rho, bound_checks = atkin_lehner_rho(coll, dims)
+    # an integer: B(N) is the permutation matrix of an involution
+    # (brandt-level-involution; spectral.eigendecompose refuses any other)
+    BN = coll.matrices[coll.level]
+    rho = int(exact_rho(BN))
+    bound_checks = atkin_lehner_bound(BN, dims, rho)
     fixed = [i for i, _ in bound_checks]
     checks.append(("atkin-lehner-bound", all(ok for _, ok in bound_checks),
                    f"rho={rho}, fixed classes {[i + 1 for i in fixed]}"))
@@ -301,6 +289,5 @@ def build_report(coll, spec):
         checks.append(("field-verdict-dimensions", field_ok,
                        "field verdict forces full theta spaces"))
 
-    return ThetaReport(coll.level, n, coll.weights, dims,
-                       [sorted(s) for s in sigma_sets], rho,
+    return ThetaReport(n, dims, [sorted(s) for s in sigma_sets], rho,
                        [i + 1 for i in fixed], verdict, detail, checks)

@@ -29,16 +29,17 @@ identities reads its bounds off these residuals and the frame's
 orthonormality defect.
 
 Everything numeric is double precision with explicit residual checks at
-1e-8; the Eisenstein eigenvector is verified in exact rational arithmetic,
-since it is known in closed form: coordinates 1/w_i.
+1e-8.  The Eisenstein eigenvector is known in closed form, coordinates
+1/w_i, and is certified in exact arithmetic by the battery's
+brandt-weighted-row-sums; the frame takes its unit vector.
 """
 
 from fractions import Fraction
 from math import sqrt
 from operator import mul
 
-from .brandt import (check_weighted_row_sums, cyclic_operator, sigma_level,
-                     weighted_asymmetry)
+from .brandt import (check_weighted_row_sums, cyclic_operator, prime_power,
+                     sigma_level, weighted_asymmetry)
 from .intmat import left_sum, mat_mul
 from .quatalg import ConsistencyError, is_prime
 
@@ -55,16 +56,11 @@ def sturm_bound(N):
 
 
 def eisenstein_vector(weights):
-    """The exact ray spanned by sum_i (1/w_i)[i], plus its unit vector.
-
-    Returns (exact, unit): exact has Fraction coordinates 1/w_i, unit is the
-    float vector normalized to pairing-norm 1 (all coordinates positive).
-    """
-    exact = [Fraction(1, w) for w in weights]
+    """The unit vector of the ray sum_i (1/w_i)[i]: float coordinates
+    1/w_i, normalized to pairing-norm 1 (all positive)."""
     norm2 = sum(Fraction(1, w) for w in weights)  # sum w*(1/w)^2
     scale = 1.0 / sqrt(float(norm2))
-    unit = [float(x) * scale for x in exact]
-    return exact, unit
+    return [float(Fraction(1, w)) * scale for w in weights]
 
 
 def eisenstein_exact_check(coll):
@@ -73,8 +69,8 @@ def eisenstein_exact_check(coll):
     This is the weighted-row-sum identity of brandt.check_weighted_row_sums,
     run on the collection's stored matrices (it reads no bound).
     """
-    mats = {m: coll.matrix(m) for m in coll.available()}
-    ok, detail = check_weighted_row_sums(coll.level, coll.weights, None, mats)
+    ok, detail = check_weighted_row_sums(coll.level, coll.weights, None,
+                                         coll.matrices)
     if not ok:
         return False, f"Eisenstein identity {detail}"
     return True, "exact rational eigenvector for every stored B(m)"
@@ -134,23 +130,21 @@ class SpectralData:
     """Shared eigenframe of a Brandt family.
 
     eigenvectors[k] is f_k in class coordinates (pairing-orthonormal), with
-    the Eisenstein vector last.  characters[k][m-1] approximates the
-    eigenvalue of B(m) on f_k; tn_signs[k] is the exact +-1 eigenvalue of
-    B(N) on a cuspidal f_k (None for the Eisenstein one).  residuals[k][m-1]
-    bounds ||S_m u_k - a_k(m) u_k|| for u_k = D^{1/2} f_k, and frame_defect
-    bounds ||I - U U^T||, U the matrix of rows u_k.  combo holds the prime
-    indices and coefficients of the T whose frame this is.
+    the Eisenstein vector last, at eisenstein_index = n - 1.
+    characters[k][m-1] approximates the eigenvalue of B(m) on f_k;
+    tn_signs[k] is the exact +-1 eigenvalue of B(N) on a cuspidal f_k (None
+    for the Eisenstein one).  residuals[k][m-1] bounds ||S_m u_k - a_k(m)
+    u_k|| for u_k = D^{1/2} f_k, and frame_defect bounds ||I - U U^T||, U
+    the matrix of rows u_k.  combo holds the prime indices and coefficients
+    of the T whose frame this is, as brandt.cyclic_operator gives them.
     """
 
-    def __init__(self, level, weights, eigenvectors, characters, tn_signs,
-                 eisenstein_index, max_residual, combo, residuals,
-                 frame_defect):
-        self.level = level
+    def __init__(self, weights, eigenvectors, characters, tn_signs,
+                 max_residual, combo, residuals, frame_defect):
         self.weights = weights
         self.eigenvectors = eigenvectors
         self.characters = characters
         self.tn_signs = tn_signs
-        self.eisenstein_index = eisenstein_index
         self.max_residual = max_residual
         self.combo = combo
         self.residuals = residuals
@@ -159,6 +153,10 @@ class SpectralData:
     @property
     def n(self):
         return len(self.weights)
+
+    @property
+    def eisenstein_index(self):
+        return self.n - 1
 
     def character(self, k, m):
         """Eigenvalue of B(m) on f_k, 1 <= m <= bound; that of B(N) is
@@ -202,16 +200,16 @@ def eigendecompose(coll):
     """
     n, N, M = coll.n, coll.level, coll.bound
     w = coll.weights
-    operator = cyclic_operator(
-        {m: coll.matrix(m) for m in coll.available()}, n)
+    operator = cyclic_operator(coll.matrices, n)
     if operator is None:
         raise ConsistencyError("no T_k has a cyclic vector")
-    T, combo_primes = operator
-    plus, minus = atkin_lehner_orbits(coll.matrix(N), w)
+    T, combo = operator
+    plus, minus = atkin_lehner_orbits(coll.matrices[N], w)
     primes = [p for p in range(2, M + 1) if is_prime(p) and p != N]
     sig = [sigma_level(m, N) for m in range(M + 1)]
-    block_mats = {p: al_blocks(coll.matrix(p), plus, minus) for p in primes}
-    _, eis_unit = eisenstein_vector(w)
+    block_mats = {p: al_blocks(coll.matrices[p], plus, minus)
+                  for p in primes}
+    eis_unit = eisenstein_vector(w)
     eis_value = sum(row[0] for row in T)  # T's eigenvalue on 1/w
 
     forms = []  # (f, B(N)-sign or None, {p: a_p}, {p: ||r(p)||})
@@ -297,10 +295,8 @@ def eigendecompose(coll):
         forms[k][1] is None, tuple(round(x, 9) for x in rows[k][0]),
         forms[k][1] or 0))
     return SpectralData(
-        N, w, [forms[k][0] for k in order], [rows[k][0] for k in order],
-        [forms[k][1] for k in order], n - 1, max_residual,
-        {"primes": list(combo_primes),
-         "coeffs": list(range(1, len(combo_primes) + 1))},
+        w, [forms[k][0] for k in order], [rows[k][0] for k in order],
+        [forms[k][1] for k in order], max_residual, combo,
         [rows[k][1] for k in order], sqrt(defect) + n * n * EPS)
 
 
@@ -313,10 +309,7 @@ def _extend(sign, a, r, sig, N, slack):
     chars = [0.0, 1.0] + [0.0] * (M - 1)
     bound = [0.0, slack] + [0.0] * (M - 1)
     for m in range(2, M + 1):
-        p = next(d for d in range(2, m + 1) if m % d == 0)
-        q = p
-        while m % (q * p) == 0:
-            q *= p
+        p, q = prime_power(m)
         if q < m:
             x = chars[q] * chars[m // q]
             e = sig[q] * bound[m // q] + abs(chars[m // q]) * bound[q]

@@ -183,7 +183,7 @@ def cross_validate(classes, coll, ss=None):
             f"{len(ss)} supersingular j but class number {classes.n}")
     if not ss.frobenius_closed():
         raise ConsistencyError("j-list not closed under Frobenius")
-    BN = coll.matrix(N)
+    BN = coll.matrices[N]
     fixed = sum(BN[i][i] for i in range(classes.n))
     report["level_fixed_points"] = fixed
     if fixed != ss.rational_count:

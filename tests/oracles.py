@@ -767,7 +767,7 @@ def expansion_identities_direct(coll, spec):
     w = spec.weights
     vec = spec.eigenvectors
     ms = range(1, coll.bound + 1)
-    mats = [coll.matrix(m) for m in ms]
+    mats = [coll.matrices[m] for m in ms]
     alpha = [[spec.character(k, m) for k in range(n)] for m in ms]
     pair = [[w[i] * vec[k][i] for i in range(n)] for k in range(n)]
     frame = list(zip(*vec))  # column k is f_k

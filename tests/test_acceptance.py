@@ -47,9 +47,9 @@ def test_acceptance_01_level_11_golden():
     assert res.classes.n == 2
     assert sorted(res.classes.weights) == [2, 3]
     perm = sorted(range(2), key=lambda i: res.classes.weights[i])
-    assert _permuted(res.collection.matrix(3), perm) == [[2, 3], [2, 1]]
+    assert _permuted(res.collection.matrices[3], perm) == [[2, 3], [2, 1]]
     # eigenvalues of B(3) exactly {-1, 4}: (x + 1)(x - 4)
-    assert charpoly(res.collection.matrix(3)) == [-4, -3, 1]
+    assert charpoly(res.collection.matrices[3]) == [-4, -3, 1]
     prefix = [round(x) for x in res.spectral.characters[0][:9]]
     assert prefix == [1, -2, -1, 2, 1, 2, -2, 0, -2]
     assert max(abs(a - round(a)) for a in res.spectral.characters[0][:9]) < 1e-8
@@ -65,7 +65,7 @@ def test_acceptance_02_level_37_golden():
     elapsed = time.perf_counter() - t0
     assert res.classes.n == 3
     assert res.classes.weights == [1, 1, 1]
-    B3 = res.collection.matrix(3)
+    B3 = res.collection.matrices[3]
     target = [[2, 1, 1], [1, 0, 3], [1, 3, 0]]
     assert any(_permuted(B3, p) == target for p in permutations(range(3)))
     # eigenvalues {1, -3, 4}: (x - 1)(x + 3)(x - 4)
@@ -104,9 +104,8 @@ def test_acceptance_04_structural_identities():
     for N in PRIMES_100:
         res = cached_analysis(N)
         coll = res.collection
-        mats = {m: coll.matrix(m) for m in coll.available()}
         for name, ok, detail in structural_checks(coll.level, coll.weights,
-                                                  coll.bound, mats):
+                                                  coll.bound, coll.matrices):
             assert ok, (N, name, detail)
     _report(4, "Brandt identities N<=100")
 
@@ -171,7 +170,7 @@ def test_acceptance_08_involution_dimension_bound():
     for N in PRIMES_200:
         res = cached_analysis(N)
         n = res.classes.n
-        BN = res.collection.matrix(N)
+        BN = res.collection.matrices[N]
         rho = res.report.rho
         assert rho == sum(1 for s in res.spectral.tn_signs if s == -1), N
         for i in range(n):
@@ -196,11 +195,11 @@ def test_acceptance_09_expansion_identities():
     for m in range(1, 10):
         a = spec.characters[0][m - 1]
         s = sigma_level(m, 11)
-        coeff_max = max(1.0, abs(coll.matrix(m)[i1][i1]))
-        assert abs(coll.matrix(m)[i1][i1] - (0.4 * a + 0.6 * s)) < \
+        coeff_max = max(1.0, abs(coll.matrices[m][i1][i1]))
+        assert abs(coll.matrices[m][i1][i1] - (0.4 * a + 0.6 * s)) < \
             1e-6 * coeff_max
         # 2 theta_12 = 3 theta_21, exactly
-        assert 2 * coll.matrix(m)[i1][i2] == 3 * coll.matrix(m)[i2][i1]
+        assert 2 * coll.matrices[m][i1][i2] == 3 * coll.matrices[m][i2][i1]
     _report(9, "expansion identities at N=11, 37")
 
 

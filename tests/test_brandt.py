@@ -28,7 +28,8 @@ def collection_for(N, bound=1):
 
 
 def stored_matrices(coll):
-    return {m: coll.matrix(m) for m in coll.available()}
+    """A copy of coll.matrices, whose entries a test may replace."""
+    return dict(coll.matrices)
 
 
 def permuted(B, perm):
@@ -38,14 +39,14 @@ def permuted(B, perm):
 
 def test_b3_level_11_matches_published_matrix():
     coll = collection_for(11, bound=3)
-    B3 = coll.matrix(3)
+    B3 = coll.matrices[3]
     # align classes by weight: the published matrix has (w1, w2) = (2, 3)
     perm = sorted(range(2), key=lambda i: coll.weights[i])
     assert permuted(B3, perm) == [[2, 3], [2, 1]]
 
 
 def test_b3_level_37_permutation_equivalent_to_published():
-    B3 = collection_for(37, bound=3).matrix(3)
+    B3 = collection_for(37, bound=3).matrices[3]
     target = [[2, 1, 1], [1, 0, 3], [1, 3, 0]]
     assert any(permuted(B3, p) == target for p in permutations(range(3)))
 
@@ -62,7 +63,7 @@ def test_b1_is_identity():
     for N in (2, 11, 37):
         coll = collection_for(N)
         n = coll.n
-        assert coll.matrix(1) == \
+        assert coll.matrices[1] == \
             [[int(i == j) for j in range(n)] for i in range(n)]
 
 
@@ -77,7 +78,7 @@ def test_structural_battery():
 def test_column_sums_are_sigma():
     coll = collection_for(37, bound=74)
     for m in (1, 2, 3, 4, 5, 6, 12, 37, 74):
-        B = coll.matrix(m)
+        B = coll.matrices[m]
         for j in range(coll.n):
             assert sum(B[i][j] for i in range(coll.n)) == \
                 sigma_level(m, 37), m
@@ -87,7 +88,7 @@ def test_weighted_symmetry_exact():
     coll = collection_for(11, bound=11)
     w = coll.weights
     for m in range(1, 12):
-        B = coll.matrix(m)
+        B = coll.matrices[m]
         for i in range(2):
             for j in range(2):
                 assert w[i] * B[i][j] == w[j] * B[j][i]
@@ -95,10 +96,10 @@ def test_weighted_symmetry_exact():
 
 def test_hecke_recursion_away_from_level():
     coll = collection_for(11, bound=8)
-    B2 = coll.matrix(2)
-    B4 = coll.matrix(4)
-    B8 = coll.matrix(8)
-    two = [[2 * x for x in row] for row in coll.matrix(1)]
+    B2 = coll.matrices[2]
+    B4 = coll.matrices[4]
+    B8 = coll.matrices[8]
+    two = [[2 * x for x in row] for row in coll.matrices[1]]
     assert mat_mul(B2, B2) == [[a + b for a, b in zip(r1, r2)]
                                for r1, r2 in zip(B4, two)]
     twoB2 = [[2 * x for x in row] for row in B2]
@@ -108,13 +109,13 @@ def test_hecke_recursion_away_from_level():
 
 def test_multiplicative_coprime_indices():
     coll = collection_for(11, bound=6)
-    assert mat_mul(coll.matrix(2), coll.matrix(3)) == coll.matrix(6)
+    assert mat_mul(coll.matrices[2], coll.matrices[3]) == coll.matrices[6]
 
 
 def test_level_matrix_involution():
     for N in (11, 37, 43):
         coll = collection_for(N)
-        BN = coll.matrix(N)
+        BN = coll.matrices[N]
         n = coll.n
         assert all(x in (0, 1) for row in BN for x in row)
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -135,7 +136,7 @@ def test_theta_constant_term():
     coll = collection_for(37)
     for i in range(3):
         assert coll.b0()[i][0] == Fraction(1, 2 * coll.weights[i])
-        assert coll.matrix(1)[i][0] == (1 if i == 0 else 0)
+        assert coll.matrices[1][i][0] == (1 if i == 0 else 0)
 
 
 def test_cusp_form_as_theta_difference():
@@ -145,7 +146,7 @@ def test_cusp_form_as_theta_difference():
     i1, i2 = perm[0], perm[1]
     coll = BrandtCollection(classes, bound=9)
     want = [1, -2, -1, 2, 1, 2, -2, 0, -2]
-    got = [coll.matrix(m)[i1][i1] - coll.matrix(m)[i1][i2]
+    got = [coll.matrices[m][i1][i1] - coll.matrices[m][i1][i2]
            for m in range(1, 10)]
     assert got == want
 
@@ -153,16 +154,16 @@ def test_cusp_form_as_theta_difference():
 def test_collection_covers_level_matrix():
     classes = classes_for(37)
     coll = BrandtCollection(classes, bound=5)
-    assert 37 in coll.available()
+    assert 37 in coll.matrices
     counted = [[classes.translation_module(i, j).count_vectors(37)
                 // (2 * classes.weights[i]) for j in range(3)]
                for i in range(3)]
-    assert coll.matrix(37) == counted
+    assert coll.matrices[37] == counted
 
 
 def test_brandt_matrices_commute():
     coll = collection_for(43, bound=7)
-    mats = [coll.matrix(m) for m in range(1, 8)]
+    mats = [coll.matrices[m] for m in range(1, 8)]
     for A in mats:
         for B in mats:
             assert mat_mul(A, B) == mat_mul(B, A)
@@ -208,7 +209,8 @@ def test_commutativity_certificate_at_227_takes_t4(product_calls):
     primes = [m for m in mats if is_prime(m)]
     assert cyclic_operator({p: mats[p] for p in (2, 3, 5)}, coll.n) is None
     assert cyclic_operator(mats, coll.n) == (combination(
-        (1, 2, 3, 4), [mats[p] for p in (2, 3, 5, 7)]), [2, 3, 5, 7])
+        (1, 2, 3, 4), [mats[p] for p in (2, 3, 5, 7)]),
+        {"primes": [2, 3, 5, 7], "coeffs": [1, 2, 3, 4]})
     ok, detail = check_commutativity(
         coll.level, coll.weights, coll.bound, mats)
     assert ok, detail
@@ -310,14 +312,14 @@ def test_both_halves_reference(N):
     counts = [[product_lattice(ideal_inverse(classes.ideals[j]),
                                classes.ideals[i]).counts_up_to(top)
                for j in range(n)] for i in range(n)]
-    assert coll.available() == sorted({*range(1, M + 1), N})
-    for m in coll.available():
+    assert list(coll.matrices) == sorted({*range(1, M + 1), N})
+    for m in coll.matrices:
         ref = [[Fraction(counts[i][j].get(m, 0), 2 * w[i]) for j in range(n)]
                for i in range(n)]
         assert all(x.denominator == 1 for row in ref for x in row), m
         assert all(w[i] * ref[i][j] == w[j] * ref[j][i]
                    for i in range(n) for j in range(n)), m
-        assert coll.matrix(m) == ref, m
+        assert coll.matrices[m] == ref, m
 
 
 @pytest.mark.parametrize("N", [2, 11, 37, 101])
@@ -336,7 +338,7 @@ def test_level_matrix_needs_every_class():
     # at N = 43, B(N) swaps the last two classes; without the last one,
     # P I_3 lies in no known class
     classes = classes_for(43)
-    assert collection_for(43).matrix(43)[2] == [0, 0, 0, 1]
+    assert collection_for(43).matrices[43][2] == [0, 0, 0, 1]
     dropped = ClassList(classes.order)
     for I in classes.ideals[1:3]:
         dropped.add(I)
@@ -361,7 +363,7 @@ def test_one_module_counted_per_orbit(N, orbits, monkeypatch):
 
     monkeypatch.setattr(ClassList, "translation_module", recorded)
     coll = BrandtCollection(classes, sturm_bound(N) + 2)
-    sigma = [row.index(1) for row in coll.matrix(N)]
+    sigma = [row.index(1) for row in coll.matrices[N]]
     every = {pair_orbit(sigma, i, j)
              for i in range(coll.n) for j in range(coll.n)}
     assert len(called) == len(every) == orbits
@@ -372,7 +374,7 @@ def test_counted_level_matrix_must_match_the_involution(monkeypatch):
     # with the bound at N, B(N) is counted, and a P I_i that find puts in
     # the wrong class makes it differ from the permutation of find's answers
     classes = classes_for(37)
-    assert BrandtCollection(classes, 37).matrix(37) == [
+    assert BrandtCollection(classes, 37).matrices[37] == [
         [1, 0, 0], [0, 0, 1], [0, 1, 0]]
     find = ClassList.find
     for wrong in range(3):

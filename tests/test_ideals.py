@@ -334,12 +334,12 @@ def test_keyed_walk_matches_unkeyed_walk(N, monkeypatch, checked_equivalence):
     # as the walk did before it had keys; every test, keyed or not, agrees
     # with the product test
     keyed = classes_for(N)
-    keyed_level_matrix = BrandtCollection(keyed, 1).matrix(N)
+    keyed_level_matrix = BrandtCollection(keyed, 1).matrices[N]
     monkeypatch.setattr(ideals_module, "class_key", lambda ideal: ())
     plain = classes_for(N)
     assert plain.ideals == keyed.ideals
     assert plain.weights == keyed.weights
-    assert BrandtCollection(plain, 1).matrix(N) == keyed_level_matrix
+    assert BrandtCollection(plain, 1).matrices[N] == keyed_level_matrix
     assert set(checked_equivalence) == {True, False}
 
 

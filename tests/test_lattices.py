@@ -264,6 +264,22 @@ def test_lll_carries_the_reduced_basis(N, monkeypatch):
         assert hnf(rows) == [list(r) for r in lat.mat]
 
 
+@pytest.mark.parametrize("N", [2, 37, 101])
+def test_left_multiple_reduces_a_fresh_lattice_first(N):
+    # a lattice whose reduced basis was never computed reduces itself, so
+    # its left multiple is the one a reduced copy gives, reduced basis and
+    # Gram matrix included
+    classes = enumerate_classes(maximal_order(construct_algebra(N)))
+    x = (1, 1, 0, 0) if N == 2 else (0, 0, 1, 0)
+    for I in classes.ideals:
+        I.reduced_basis()
+        fresh = QuatLattice(I.alg, I.mat, I.den)
+        got, want = fresh.left_multiple(x), I.left_multiple(x)
+        assert (got.mat, got.den) == (want.mat, want.den)
+        assert got.reduced_basis() == want.reduced_basis()
+        assert got._reduced[0] == want._reduced[0]
+
+
 def test_vectors_of_value_match_the_counts():
     # one of each pair +-x, every x in the lattice and of the given value
     for lat in translation_modules(37) + [order_lattice(101)]:

@@ -35,7 +35,7 @@ def sympy_verdict(coll):
         coeffs = [rng.randrange(1, 10) for _ in primes]
         T = sympy.zeros(coll.n, coll.n)
         for p, c in zip(primes, coeffs):
-            T += c * sympy.Matrix(coll.matrix(p))
+            T += c * sympy.Matrix(coll.matrices[p])
         eis = sum(c * (p + 1) for p, c in zip(primes, coeffs))
         kernel, rem = sympy.div(T.charpoly(x).as_expr(), x - eis, x)
         assert rem == 0

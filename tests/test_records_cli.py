@@ -150,6 +150,11 @@ def test_verify_malformed_record_exits_2(missing, tmp_path, capsys):
     ("spectral.tn_signs.0", 0),
     ("spectral.tn_signs.0", 43),
     ("spectral.tn_signs.0", None),
+    # (N - 1)/12 = sum 1/w_i <= n bounds the level by 12 n + 1 = 37 before
+    # the primality test: 2^61 - 1 would hold it for minutes, and 41 is a
+    # prime above the bound
+    ("level", 2 ** 61 - 1),
+    ("level", 41),
 ])
 def test_verify_bad_value_exits_2(path, value, tmp_path):
     record = json.loads(to_json(cached_analysis(37).record))
@@ -197,7 +202,7 @@ def _assert_verify_exits_2_in_child(path):
     # in a child process, so that an escaped exception shows as a traceback
     proc = subprocess.run(
         [sys.executable, "-m", "brandtkit.cli", "verify", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": SRC_DIR})
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

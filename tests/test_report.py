@@ -13,7 +13,7 @@ from brandtkit.ideals import enumerate_classes
 from brandtkit.orders import maximal_order
 from brandtkit.quatalg import construct_algebra, is_prime
 from brandtkit.records import build_record, to_json, verify_record
-from brandtkit.report import (SERIES_TOL, atkin_lehner_rho, build_report,
+from brandtkit.report import (SERIES_TOL, atkin_lehner_bound, build_report,
                               dim_theta_exact, exact_rho, full_span_check,
                               hecke_field_probe, sigma_set, theta_ranks,
                               verify_expansion_identities)
@@ -34,7 +34,7 @@ def pipeline(N, bound=9):
 
 def star_class(coll):
     """The class fixed by the level involution (unique at N=37)."""
-    BN = coll.matrix(coll.level)
+    BN = coll.matrices[coll.level]
     fixed = [i for i in range(coll.n) if BN[i][i] == 1]
     assert len(fixed) == 1
     return fixed[0]
@@ -59,7 +59,7 @@ def test_dim_raises_below_sturm():
     with pytest.raises(ValueError):
         dim_theta_exact(thin, 0)
     with pytest.raises(ValueError):
-        full_span_check(thin)
+        full_span_check(thin, [thin.n] * thin.n)
 
 
 def test_sigma_sets_level_37():
@@ -121,7 +121,7 @@ def test_expansion_bounds_dominate_the_direct_evaluation(N):
     for m in range(4, coll.bound + 1):
         if is_prime(m):
             continue
-        B = coll.matrix(m)
+        B = coll.matrices[m]
         for k, f in enumerate(spec.eigenvectors):
             u = [r * x for r, x in zip(roots, f)]
             Su = [sum(roots[i] * B[i][j] / roots[j] * u[j]
@@ -139,8 +139,8 @@ def test_explicit_relations_level_11():
     for m in range(1, 10):
         a = spec.characters[0][m - 1]
         s = sigma_level(m, 11)
-        t11 = coll.matrix(m)[i1][i1]
-        t12 = coll.matrix(m)[i1][i2]
+        t11 = coll.matrices[m][i1][i1]
+        t12 = coll.matrices[m][i1][i2]
         assert abs(t11 - (0.4 * a + 0.6 * s)) < 1e-8
         assert abs(t12 - (-0.6 * a + 0.6 * s)) < 1e-8
     # constant terms: 1/4 = (3/5)(5/12)
@@ -156,7 +156,7 @@ def test_explicit_relations_level_37():
     for m in range(1, 10):
         g = spec.characters[1][m - 1]
         e = sigma_level(m, 37)
-        B = coll.matrix(m)
+        B = coll.matrices[m]
         assert abs(B[star][star] - (2 * g + e) / 3.0) < 1e-8
         assert B[star][others[0]] == B[star][others[1]]
         assert abs(B[star][others[0]] - (e - g) / 3.0) < 1e-8
@@ -165,10 +165,11 @@ def test_explicit_relations_level_37():
 def test_atkin_lehner_rho_level_11():
     coll, spec = pipeline(11)
     # B(11) is forced to the identity by weighted symmetry (weights 2 != 3)
-    assert coll.matrix(11) == [[1, 0], [0, 1]]
-    rho, checks = atkin_lehner_rho(coll,
-                                   [dim_theta_exact(coll, i) for i in range(2)])
-    assert rho == 0 == exact_rho(coll.matrix(11))
+    BN = coll.matrices[11]
+    assert BN == [[1, 0], [0, 1]]
+    assert exact_rho(BN) == 0
+    checks = atkin_lehner_bound(
+        BN, [dim_theta_exact(coll, i) for i in range(2)], 0)
     assert [i for i, _ in checks] == [0, 1]
     assert all(ok for _, ok in checks)
 
@@ -177,28 +178,33 @@ def test_atkin_lehner_rho_level_37():
     coll, spec = pipeline(37)
     star = star_class(coll)
     dims = [dim_theta_exact(coll, i) for i in range(3)]
-    rho, checks = atkin_lehner_rho(coll, dims)
-    assert rho == 1 == exact_rho(coll.matrix(37))
-    assert checks == [(star, True)]
+    BN = coll.matrices[37]
+    assert exact_rho(BN) == 1
+    assert atkin_lehner_bound(BN, dims, 1) == [(star, True)]
+    # the fixed class misses one eigenform, so rho = 2 would fail it
+    assert atkin_lehner_bound(BN, dims, 2) == [(star, False)]
 
 
 def test_atkin_lehner_rho_cross_checks_signs():
     # the frame's B(N)-signs are its Atkin-Lehner block signs, so they
-    # count the exact rho, also where rho = 0 with n >= 3 (71)
+    # count the exact rho, also where rho = 0 with n >= 3 (71); the
+    # report stores rho as an int
     for N in (11, 37, 71, 101, 197):
-        coll, spec = pipeline(N)
-        rho, _ = atkin_lehner_rho(coll, [coll.n] * coll.n)
+        res = cached_analysis(N)
+        rho = res.report.rho
         assert type(rho) is int
-        assert rho == sum(s == -1 for s in spec.tn_signs)
+        assert rho == exact_rho(res.collection.matrices[N])
+        assert rho == sum(s == -1 for s in res.spectral.tn_signs)
 
 
 def test_full_span_levels():
     classes = enumerate_classes(maximal_order(construct_algebra(2)))
     coll2 = BrandtCollection(classes, bound=3)
-    assert full_span_check(coll2) == (True, 1)
+    assert full_span_check(coll2, [1]) == (True, 1)
     for N in (11, 37):
         coll, _ = pipeline(N)
-        ok, rank = full_span_check(coll)
+        dims = [dim_theta_exact(coll, i) for i in range(coll.n)]
+        ok, rank = full_span_check(coll, dims)
         assert ok and rank == coll.n
 
 
@@ -219,7 +225,6 @@ def test_full_span_eliminates_only_without_a_full_class(N, monkeypatch):
     assert got == (True, coll.n)
     assert (max(dims) == coll.n) == (N == 197)
     assert len(eliminated) == (N == 307)
-    assert full_span_check(coll) == got
 
 
 def test_probe_trivial_for_two_classes():
@@ -250,7 +255,7 @@ def test_probe_charpoly_path_level_71():
     # the kernel charpoly of the battery's cyclic T has to split (degrees 3
     # and 3)
     coll, _ = pipeline(71)
-    assert exact_rho(coll.matrix(71)) in (0, coll.n - 1)
+    assert exact_rho(coll.matrices[71]) in (0, coll.n - 1)
     assert hecke_field_probe(coll) == (
         "product", "charpoly has exact factor of degree 3")
 
@@ -264,14 +269,8 @@ class _StubCollection:
     bound = 2
 
     def __init__(self, b2):
-        self._b2 = b2
-
-    def matrix(self, m):
-        return self._b2 if m == 2 else [[int(a == b) for b in range(3)]
-                                        for a in range(3)]
-
-    def available(self):
-        return [1, 2, 11]
+        one = [[int(a == b) for b in range(3)] for a in range(3)]
+        self.matrices = {1: one, 2: b2, 11: one}
 
 
 def test_probe_inconclusive_without_cyclic_operator():
@@ -328,7 +327,7 @@ def test_theta_ranks_level_401():
     # above the tested range, with the default coefficient bound
     coll = cached_analysis(401).collection
     assert coll.bound == sturm_bound(401) + 2
-    series = [coll.matrix(m) for m in range(1, coll.bound + 1)]
+    series = [coll.matrices[m] for m in range(1, coll.bound + 1)]
     dims = theta_ranks(series, coll.n)
     assert dims == [oracles.theta_rank(series, coll.n, i)
                     for i in range(coll.n)]

@@ -64,12 +64,12 @@ def test_charpoly_matches_interpolation_oracle():
 
 def test_b3_charpoly_level_11():
     # eigenvalues {-1, 4}: (x + 1)(x - 4) = x^2 - 3x - 4
-    assert charpoly(collection(11).matrix(3)) == [-4, -3, 1]
+    assert charpoly(collection(11).matrices[3]) == [-4, -3, 1]
 
 
 def test_b3_charpoly_level_37():
     # eigenvalues {1, -3, 4}: (x - 1)(x + 3)(x - 4)
-    assert charpoly(collection(37).matrix(3)) == [12, -11, -2, 1]
+    assert charpoly(collection(37).matrices[3]) == [12, -11, -2, 1]
 
 
 def test_exact_rank_matches_rational_rank():
@@ -153,7 +153,7 @@ def test_characters_match_row_by_row_oracle(N, monkeypatch):
 
     monkeypatch.setattr(spectral, "jacobi_eigensystem", recorded)
     spec = spectral.eigendecompose(coll)
-    plus, minus = atkin_lehner_orbits(coll.matrix(N), coll.weights)
+    plus, minus = atkin_lehner_orbits(coll.matrices[N], coll.weights)
     assert len(frames) == 2 and [len(f) for f in frames] == [
         len(plus), len(minus)]
     primes = [p for p in range(2, coll.bound + 1) if is_prime(p)]
@@ -167,7 +167,7 @@ def test_characters_match_row_by_row_oracle(N, monkeypatch):
                                                   frames)):
         bw = [len(A) * coll.weights[A[0]] if sign == 1
               else 2 * coll.weights[A[0]] for A in orbits]
-        sym = {p: symmetrize(al_blocks(coll.matrix(p), plus, minus)[b], bw)
+        sym = {p: symmetrize(al_blocks(coll.matrices[p], plus, minus)[b], bw)
                for p in primes}
         # the Eisenstein vector, the one of constant sign, is replaced by
         # its closed form; the sign fix negates a vector exactly
@@ -204,7 +204,7 @@ def test_jacobi_reconstructs_symmetric_matrices():
 def test_symmetrize_level_11_golden():
     coll = collection(11)
     perm = sorted(range(2), key=lambda i: coll.weights[i])
-    B = coll.matrix(3)
+    B = coll.matrices[3]
     Bp = [[B[perm[i]][perm[j]] for j in range(2)] for i in range(2)]
     S = symmetrize(Bp, [coll.weights[p] for p in perm])
     r6 = sqrt(6.0)
@@ -220,9 +220,9 @@ def test_symmetrize_rejects_non_adjoint():
 
 
 def test_eisenstein_vector_closed_form():
-    exact, unit = eisenstein_vector([2, 3])
-    assert [x.numerator for x in exact] == [1, 1]
-    assert [x.denominator for x in exact] == [2, 3]
+    # the unit vector of the ray of coordinates 1/w_i
+    unit = eisenstein_vector([2, 3])
+    assert abs(unit[0] / unit[1] - 3.0 / 2.0) < 1e-12
     assert abs(unit[0] - 3.0 / sqrt(30.0)) < 1e-12
     assert abs(unit[1] - 2.0 / sqrt(30.0)) < 1e-12
     assert abs(sum(w * x * x for w, x in zip([2, 3], unit)) - 1.0) < 1e-12
@@ -235,15 +235,9 @@ def test_eisenstein_exact_check_detects_corruption():
         level = coll.level
         n = coll.n
         weights = coll.weights
-
-        def available(self):
-            return coll.available()
-
-        def matrix(self, m):
-            B = [row[:] for row in coll.matrix(m)]
-            if m == 2:
-                B[0][0] += 1
-            return B
+        matrices = {m: [row[:] for row in B]
+                    for m, B in coll.matrices.items()}
+        matrices[2][0][0] += 1
 
     ok, _ = eisenstein_exact_check(coll)
     assert ok
@@ -265,11 +259,11 @@ def test_spectral_invariants():
                 dot = sum(w * x * y for w, x, y in zip(
                     spec.weights, spec.eigenvectors[a], spec.eigenvectors[b]))
                 assert abs(dot - (1.0 if a == b else 0.0)) < 1e-7
-        _, eis = eisenstein_vector(spec.weights)
+        eis = eisenstein_vector(spec.weights)
         assert spec.eigenvectors[n - 1] == eis
         for k in range(n):
             assert abs(spec.character(k, 1) - 1.0) < 1e-9
-        BN = coll.matrix(N)
+        BN = coll.matrices[N]
         for k in range(n - 1):
             assert spec.tn_signs[k] in (-1, 1)
             f = spec.eigenvectors[k]
@@ -318,7 +312,7 @@ def test_eigenvector_lines_level_11():
 def test_eigenvector_lines_level_37():
     coll = collection(37)
     spec = eigendecompose(coll)
-    BN = coll.matrix(37)
+    BN = coll.matrices[37]
     fixed = [i for i in range(3) if BN[i][i] == 1]
     assert len(fixed) == 1
     star = fixed[0]
@@ -357,13 +351,8 @@ class _ScalarFamily:
     that no T_k has a cyclic vector."""
 
     level, n, weights, bound = 11, 3, [1, 1, 1], 3
-
-    def matrix(self, m):
-        c = sigma_level(m, 11)
-        return [[c * (a == b) for b in range(3)] for a in range(3)]
-
-    def available(self):
-        return [1, 2, 3, 11]
+    matrices = {m: [[sigma_level(m, 11) * (a == b) for b in range(3)]
+                    for a in range(3)] for m in (1, 2, 3, 11)}
 
 
 def test_eigendecompose_raises_without_a_cyclic_operator():

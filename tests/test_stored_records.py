@@ -189,7 +189,7 @@ def test_neighbour_graphs_are_connected():
     levels = {N: {int(m): B for m, B in json.loads(text)["brandt"].items()}
               for N, text in STORED.items()}
     coll = cached_analysis(401).collection
-    levels[401] = {p: coll.matrix(p) for p in (2, 3)}
+    levels[401] = {p: coll.matrices[p] for p in (2, 3)}
     for N, mats in sorted(levels.items()):
         for p in (2, 3):
             if p != N:
@@ -204,13 +204,10 @@ class RecordCollection:
         self.level = record["level"]
         self.n = record["class_number"]
         self.bound = record["coeff_bound"]
-        self._mats = {int(m): B for m, B in record["brandt"].items()}
-
-    def matrix(self, m):
-        return self._mats[m]
+        self.matrices = {int(m): B for m, B in record["brandt"].items()}
 
     def series(self):
-        return [self._mats[m] for m in range(1, self.bound + 1)]
+        return [self.matrices[m] for m in range(1, self.bound + 1)]
 
 
 def test_theta_ranks_match_per_class_bareiss():
@@ -244,4 +241,5 @@ def test_full_span_check_matches_the_rank_with_duplicates(N):
     rows = [[B[i][j] for B in series]
             for i in range(coll.n) for j in range(i, coll.n)]
     rank = exact_rank(rows)
-    assert full_span_check(coll) == (rank == coll.n, rank)
+    dims = json.loads(STORED[N])["theta"]["dims"]
+    assert full_span_check(coll, dims) == (rank == coll.n, rank)
