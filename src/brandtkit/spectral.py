@@ -60,7 +60,7 @@ def eisenstein_vector(weights):
     1/w_i, normalized to pairing-norm 1 (all positive)."""
     norm2 = sum(Fraction(1, w) for w in weights)  # sum w*(1/w)^2
     scale = 1.0 / sqrt(float(norm2))
-    return [float(Fraction(1, w)) * scale for w in weights]
+    return [1 / w * scale for w in weights]
 
 
 def eisenstein_exact_check(coll):
