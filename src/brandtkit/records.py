@@ -145,15 +145,16 @@ def _check_values(record):
     if not _is_int(n, 1):
         raise ValueError("class_number in the record is not a positive integer")
     theta, brandt, N = record["theta"], record["brandt"], record["level"]
-    # (N - 1)/12 = sum 1/w_i <= n for weights w_i >= 1, so N <= 12 n + 1;
-    # the bound comes first, so that is_prime never meets a huge level
+    weights = _is_list(record["weights"], n, lambda w: _is_int(w, 1))
+    # (N - 1)/12 = sum 1/w_i <= n for weights w_i >= 1, so N <= 12 n + 1.
+    # n is bounded by the record's size once the weights are n entries,
+    # and the bound comes before is_prime, so trial division stays short
     fields = [
-        ("level", _is_int(N) and N <= 12 * n + 1 and is_prime(N),
+        ("weights", weights, f"a list of {n} positive integers"),
+        ("level", weights and _is_int(N) and N <= 12 * n + 1 and is_prime(N),
          f"a prime at most 12 n + 1 = {12 * n + 1}"),
         ("coeff_bound", _is_int(record["coeff_bound"], 1),
          "a positive integer"),
-        ("weights", _is_list(record["weights"], n, lambda w: _is_int(w, 1)),
-         f"a list of {n} positive integers"),
         ("mass", _is_frac(record["mass"]), 'a fraction "p/q"'),
         ("b0", _is_matrices([record["b0"]], n, str)
          and all(map(_FRAC.fullmatch, chain.from_iterable(record["b0"]))),

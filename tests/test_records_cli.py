@@ -170,6 +170,19 @@ def test_verify_bad_value_exits_2(path, value, tmp_path):
     _assert_verify_exits_2_in_child(bad)
 
 
+def test_verify_huge_class_number_and_level_exits_2(tmp_path):
+    # class_number is unchecked input too: 2^61 would lift 12 n + 1 over
+    # the level 2^61 - 1, but the weights are not 2^61 entries, so the
+    # record is refused before the primality test
+    record = json.loads(to_json(cached_analysis(37).record))
+    record["class_number"], record["level"] = 2 ** 61, 2 ** 61 - 1
+    bad = tmp_path / "huge.json"
+    write_record(record, bad)
+    with pytest.raises(ValueError, match="weights"):
+        load_record(bad)
+    _assert_verify_exits_2_in_child(bad)
+
+
 @pytest.mark.parametrize("moved, message", [
     (False, r"has an extra Brandt matrix B\(01\)"),
     (True, r"lacks Brandt matrix B\(3\)"),

@@ -201,11 +201,14 @@ def test_full_span_levels():
     classes = enumerate_classes(maximal_order(construct_algebra(2)))
     coll2 = BrandtCollection(classes, bound=3)
     assert full_span_check(coll2, [1]) == (True, 1)
+    # dims of zero are lower bounds that decide nothing, so the rank is
+    # eliminated
+    assert full_span_check(coll2, [0]) == (True, 1)
     for N in (11, 37):
         coll, _ = pipeline(N)
         dims = [dim_theta_exact(coll, i) for i in range(coll.n)]
-        ok, rank = full_span_check(coll, dims)
-        assert ok and rank == coll.n
+        assert full_span_check(coll, dims) == (True, coll.n)
+        assert full_span_check(coll, [0] * coll.n) == (True, coll.n)
 
 
 @pytest.mark.parametrize("N", [197, 307])
@@ -225,6 +228,7 @@ def test_full_span_eliminates_only_without_a_full_class(N, monkeypatch):
     assert got == (True, coll.n)
     assert (max(dims) == coll.n) == (N == 197)
     assert len(eliminated) == (N == 307)
+    assert full_span_check(coll, [0] * coll.n) == got
 
 
 def test_probe_trivial_for_two_classes():

@@ -241,5 +241,7 @@ def test_full_span_check_matches_the_rank_with_duplicates(N):
     rows = [[B[i][j] for B in series]
             for i in range(coll.n) for j in range(i, coll.n)]
     rank = exact_rank(rows)
+    # with dims of zero, which are lower bounds too, the rank is eliminated
+    assert full_span_check(coll, [0] * coll.n) == (rank == coll.n, rank)
     dims = json.loads(STORED[N])["theta"]["dims"]
     assert full_span_check(coll, dims) == (rank == coll.n, rank)
